@@ -51,7 +51,6 @@ def main() -> int:
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first run")
     ap.add_argument("--workload", action="append", choices=names, help="repeatable; default all")
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     workloads = args.workload or names
@@ -63,7 +62,7 @@ def main() -> int:
         for name in workloads:
             seed = args.seed + i
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(seed)]
-            cmd += ["--seconds", str(args.seconds), "--trace", str(args.trace)]
+            cmd += ["--seconds", str(spec["run_seconds"]), "--trace", str(args.trace)]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             lines = proc.stdout.strip().splitlines()
             result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None

@@ -6,8 +6,10 @@ Run from the root of a checkout; the library is imported from its ``src/``.
 Each workload runs in fresh worker processes (worker.py).  With ``--trace 0``
 the worker is launched SETUP_LAUNCHES times: each launch's set-up time runs
 from launching it to its first timed op, every launch but the last stops
-there, and the last one runs the timed ops.  The result holds the metrics
-``end_to_end`` of BENCHMARK.json names.  With ``--trace 1`` one launch runs
+there, and the last one runs the timed ops.  ``setup_s`` is the median
+set-up time in reference seconds: wall seconds on a core where the worker's
+set-up calibration loop, timed at the end of set-up, takes exactly 1 ms.
+The result holds the metrics ``end_to_end`` of BENCHMARK.json names.  With ``--trace 1`` one launch runs
 the ops untraced and then traced, and the result holds the ``per_layer``
 metrics.
 """
@@ -26,7 +28,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
-SETUP_LAUNCHES = 5
+SETUP_LAUNCHES = 7
 DEADLINE_S = 170  # the whole run, set-up launches included
 
 
@@ -34,8 +36,12 @@ class RunError(RuntimeError):
     pass
 
 
-def launch(args, command: str, deadline: float) -> tuple[float, dict | None]:
-    """Start a worker, time its set-up, send it the command, return (setup_s, result)."""
+def launch(args, command: str, deadline: float) -> tuple[float, float, dict | None]:
+    """Start a worker, time its set-up, send it the command.
+
+    Returns the set-up time in wall seconds, the same in reference seconds,
+    and the worker's result.
+    """
     t0 = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, str(WORKER), "--workload", args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds)],
@@ -48,17 +54,19 @@ def launch(args, command: str, deadline: float) -> tuple[float, dict | None]:
         ready, _, _ = select.select([proc.stdout], [], [], max(0.0, deadline - time.monotonic()))
         line = proc.stdout.readline() if ready else ""
         setup_s = time.perf_counter() - t0
-        if line.strip() != "ready":
+        words = line.split()
+        if len(words) != 2 or words[0] != "ready":
             raise RunError(f"worker did not get ready (read {line!r})")
+        setup_ref_s = setup_s / (float(words[1]) / 1e6)
         out, _ = proc.communicate(command + "\n", timeout=max(0.0, deadline - time.monotonic()))
         if proc.returncode != 0:
             raise RunError(f"worker exited with code {proc.returncode}")
         if command == "stop":
-            return setup_s, None
+            return setup_s, setup_ref_s, None
         lines = out.strip().splitlines()
         if not lines:
             raise RunError("worker printed no result")
-        return setup_s, json.loads(lines[-1])
+        return setup_s, setup_ref_s, json.loads(lines[-1])
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -91,17 +99,19 @@ def main() -> int:
 
     try:
         if args.trace:
-            _, result = launch(args, "trace", deadline)
+            _, _, result = launch(args, "trace", deadline)
             metrics = pick(result["layers"], spec["per_layer"])
         else:
-            setups = []
+            wall, ref = [], []
             for i in range(SETUP_LAUNCHES):
-                setup_s, result = launch(args, "run" if i == SETUP_LAUNCHES - 1 else "stop", deadline)
-                setups.append(setup_s)
-            metrics = pick({**result, "setup_s": statistics.median(setups)}, spec["end_to_end"])
+                setup_s, setup_ref_s, result = launch(args, "run" if i == SETUP_LAUNCHES - 1 else "stop", deadline)
+                wall.append(setup_s)
+                ref.append(setup_ref_s)
+            metrics = pick({**result, "setup_s": statistics.median(ref)}, spec["end_to_end"])
             print(
                 f"perfbench: {args.workload} wall op p50 {result['wall_op_p50_ms']:.3f} ms,"
-                f" calibration loop {result['calibration_ms']:.3f} ms",
+                f" calibration loop {result['calibration_ms']:.3f} ms,"
+                f" wall set-up {statistics.median(wall):.3f} s",
                 file=sys.stderr,
             )
     except (RunError, subprocess.TimeoutExpired, json.JSONDecodeError) as exc:

@@ -192,3 +192,13 @@ def test_tracer_counts_repeat_and_uninstall_restores():
     assert counts[0] == counts[1]
     assert counts[0]["structure.partition"] == 3 and counts[0]["modarith.cheb_t"] > 0
     assert (cb.structure.cheb_t, cb.expsum.partition, cb.partition_sums) == originals
+
+
+def test_clear_caches_empties_every_library_cache():
+    names = {cache.__qualname__ for cache in workloads.CACHES}
+    assert {"prime_factors", "_cyclotomic_coeffs"} <= names
+    workloads.sweep_op(P)
+    cb.cyclotomic(12)
+    assert any(cache.cache_info().currsize for cache in workloads.CACHES)
+    workloads.clear_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in workloads.CACHES)

@@ -2,7 +2,8 @@
 
 Protocol on stdin/stdout, driven by run.py:
   1. the worker imports chebring, builds its inputs from the seed, warms up
-     on inputs outside the timed set, then prints ``ready``;
+     on inputs outside the timed set, times the set-up calibration loop,
+     then prints ``ready`` and the loop's time in ns;
   2. it reads one line: ``stop`` ends it there; ``run`` times whole rounds of
      ops for the given seconds; ``trace`` times half the seconds untraced and
      half traced;
@@ -29,19 +30,20 @@ import workloads  # noqa: E402  (imports chebring from this checkout)
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 MIN_OPS = 100  # op_p90 needs at least ten ops beyond the 90th percentile
+SETUP_CALIBRATIONS = 5
 
 
-
-def calibration_ns(wl) -> int:
-    """Time of the workload's calibration loop.
+def calibration_ns(loop) -> int:
+    """Time of one calibration loop.
 
     On a shared machine the speed of a core drifts by tens of percent, for
-    seconds to minutes at a time.  So the worker times this loop before and
-    after each op, and reports the op's wall time in reference ms: ms on a
-    core where the loop takes exactly 1 ms, at the mean of the two timings.
+    seconds to minutes at a time.  So the worker times its workload's loop
+    before and after each op, and reports the op's wall time in reference
+    ms: ms on a core where the loop takes exactly 1 ms, at the mean of the
+    two timings.
     """
     t0 = time.perf_counter_ns()
-    wl.calibrate()
+    loop()
     return time.perf_counter_ns() - t0
 
 
@@ -55,7 +57,7 @@ def run_rounds(wl, inputs, seconds: float, first: dict) -> dict:
     ref_ms, wall_ms, cal_ms = [], [], []
     ops, items, changed, failed, cache_hits = 0, 0, [], 0, 0
     start = time.perf_counter()
-    cal_before = calibration_ns(wl)
+    cal_before = calibration_ns(wl.calibrate)
     while True:
         for x in inputs:
             workloads.clear_caches()
@@ -65,7 +67,7 @@ def run_rounds(wl, inputs, seconds: float, first: dict) -> dict:
             except Exception as exc:  # a failing op is counted, not fatal
                 result = exc
             dt = time.perf_counter_ns() - t0
-            cal_after = calibration_ns(wl)
+            cal_after = calibration_ns(wl.calibrate)
             cal, cal_before = (cal_before + cal_after) / 2, cal_after
             ops += 1
             cache_hits += workloads.PRIME_FACTORS.cache_info().hits
@@ -95,19 +97,6 @@ def run_rounds(wl, inputs, seconds: float, first: dict) -> dict:
             }
 
 
-def check(name: str, x, result) -> list[str]:
-    """Problems found by the independent computation for one input."""
-    import checks
-
-    if name == "search":
-        return checks.check_search(x, result, workloads.SEARCH_WIEFERICH_LIMIT, workloads.SEARCH_PSEUDOPRIME_LIMIT)
-    if name == "sweep":
-        return checks.check_sweep(x, result)
-    if name == "poly":
-        return checks.check_poly(x, result)
-    return checks.check_keyx(workloads.KEYX_P, x, result)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -120,7 +109,10 @@ def main() -> int:
     for x in warm:
         workloads.clear_caches()
         wl.op(x)
-    print("ready", flush=True)
+    # The speed of the core at the end of set-up, for run.py to report
+    # set-up time in reference seconds.
+    setup_cal_ns = statistics.median(calibration_ns(workloads.SETUP_CALIBRATE) for _ in range(SETUP_CALIBRATIONS))
+    print("ready", setup_cal_ns, flush=True)
 
     command = sys.stdin.readline().strip()
     if command == "stop":
@@ -160,7 +152,7 @@ def main() -> int:
 
     problems = [line for ph in phases for line in ph["changed"]]
     for x, result in first.values():
-        problems += check(wl.name, x, result)
+        problems += wl.check(x, result)
     for line in problems[:20]:
         print(line, file=sys.stderr)
     out["attempted"] = sum(ph["ops"] for ph in phases)

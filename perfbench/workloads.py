@@ -189,6 +189,39 @@ def numpy_loop() -> None:
         prev, cur = cur, nxt
 
 
+# Set-up time is mostly importing numpy and the library: C extensions and
+# many small objects.  Over 30 five-launch runs per workload, set-up time
+# over this loop's time spread by 7-10% between quartiles, against 12-22%
+# for plain wall time; over interpreter_loop or bigint_loop by up to 16%.
+SETUP_CALIBRATE = numpy_loop
+
+
+# Checks, from checks.py.  Imported only when a check runs, after timing, so
+# that sympy stays out of set-up time.
+def search_check(base: int, result) -> list[str]:
+    import checks
+
+    return checks.check_search(base, result, SEARCH_WIEFERICH_LIMIT, SEARCH_PSEUDOPRIME_LIMIT)
+
+
+def sweep_check(p: int, result) -> list[str]:
+    import checks
+
+    return checks.check_sweep(p, result)
+
+
+def poly_check(n: int, result) -> list[str]:
+    import checks
+
+    return checks.check_poly(n, result)
+
+
+def keyx_check(row: tuple[int, int, int], result) -> list[str]:
+    import checks
+
+    return checks.check_keyx(KEYX_P, row, result)
+
+
 @dataclass(frozen=True)
 class Workload:
     name: str
@@ -196,24 +229,45 @@ class Workload:
     op: Callable[[Any], Any]
     items: Callable[[Any], int]
     calibrate: Callable[[], object]
+    check: Callable[[Any, Any], list[str]]  # problems found in one op's result
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("search", search_inputs, search_op, lambda base: SEARCH_ITEMS, interpreter_loop),
-        Workload("sweep", sweep_inputs, sweep_op, lambda p: p - 2, interpreter_loop),
-        Workload("poly", poly_inputs, poly_op, lambda n: 1, numpy_loop),
-        Workload("keyx", keyx_inputs, keyx_op, lambda row: 1, bigint_loop),
+        Workload("search", search_inputs, search_op, lambda base: SEARCH_ITEMS, interpreter_loop, search_check),
+        Workload("sweep", sweep_inputs, sweep_op, lambda p: p - 2, interpreter_loop, sweep_check),
+        Workload("poly", poly_inputs, poly_op, lambda n: 1, numpy_loop, poly_check),
+        Workload("keyx", keyx_inputs, keyx_op, lambda row: 1, bigint_loop, keyx_check),
     )
 }
 
 
-# Held here because the tracer replaces the name everywhere in the package.
+def _library_caches() -> list:
+    """Every functools cache of the package: each module-level function, and
+    each function, static method or class method of a module-level class,
+    that has ``cache_clear``."""
+    found = {}
+    for key, module in list(sys.modules.items()):
+        if key != cb.__name__ and not key.startswith(cb.__name__ + "."):
+            continue
+        for value in list(vars(module).values()):
+            members = list(vars(value).values()) if isinstance(value, type) else []
+            for obj in [value, *(getattr(m, "__func__", m) for m in members)]:
+                if callable(getattr(obj, "cache_clear", None)):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
+# Collected at import, before the tracer replaces any name with a wrapper
+# that hides ``cache_clear``.
+CACHES = _library_caches()
 PRIME_FACTORS = cb.primes.prime_factors
 
 
 def clear_caches() -> None:
-    """Reset the library's cross-call cache, so each op does the same work
-    whatever ran before it in the process."""
-    PRIME_FACTORS.cache_clear()
+    """Reset every cross-call cache of the library, so that each op does the
+    same work whatever ran before it in the process: a round that repeats an
+    earlier input gains nothing from the earlier op."""
+    for cache in CACHES:
+        cache.cache_clear()
