@@ -11,13 +11,10 @@ checked by an explicit polynomial recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 
-import numpy as np
-
 from .primes import is_prime
-from .structure import chebyshev_t_int
+from .structure import IntPolynomial, chebyshev_t_int
 
 DEGREE_CAP = 10_000
 
@@ -26,64 +23,19 @@ class ResourceLimitError(RuntimeError):
     """Construction would exceed the configured dense-polynomial cap."""
 
 
-@dataclass(frozen=True)
-class ModPolynomial:
-    """Dense polynomial, lowest degree first; modulus None means exact."""
-
-    coefficients: tuple[int, ...]
-    modulus: int | None = None
-
-    @staticmethod
-    def of(coeffs, modulus: int | None = None) -> "ModPolynomial":
-        c = [x % modulus for x in coeffs] if modulus is not None else list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return ModPolynomial(tuple(c), modulus)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
 def _check_cap(n: int) -> None:
     if n > DEGREE_CAP:
         raise ResourceLimitError(f"degree {n} exceeds the cap of {DEGREE_CAP}")
 
 
-def chebyshev_poly_mod(n: int, modulus: int | None = None) -> ModPolynomial:
-    """T_n(x) with coefficients reduced mod the modulus (exact if None).
-
-    Three-term recurrence, dense O(n^2); vectorized when the modulus fits
-    comfortably in int64 intermediate products.
-    """
+def chebyshev_poly_mod(n: int, modulus: int | None = None) -> IntPolynomial:
+    """T_n(x) with coefficients reduced mod the modulus (exact if None)."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     _check_cap(n)
-    if modulus is None:
-        return ModPolynomial.of(chebyshev_t_int(n).coefficients)
-    if modulus < 2:
+    if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if n == 0:
-        return ModPolynomial.of([1], modulus)
-    if modulus < 1 << 30:
-        prev = np.zeros(n + 1, dtype=np.int64)
-        cur = np.zeros(n + 1, dtype=np.int64)
-        prev[0] = 1 % modulus
-        cur[1] = 1 % modulus
-        for _ in range(n - 1):
-            nxt = np.zeros(n + 1, dtype=np.int64)
-            nxt[1:] = 2 * cur[:-1]
-            nxt -= prev
-            nxt %= modulus
-            prev, cur = cur, nxt
-        return ModPolynomial.of(cur.tolist(), modulus)
-    prev_l, cur_l = [1], [0, 1]
-    for _ in range(n - 1):
-        nxt_l = [0] + [2 * c for c in cur_l]
-        for i, c in enumerate(prev_l):
-            nxt_l[i] -= c
-        prev_l, cur_l = cur_l, [c % modulus for c in nxt_l]
-    return ModPolynomial.of(cur_l, modulus)
+    return chebyshev_t_int(n, modulus=modulus)
 
 
 def prime_iff_power_check(n: int) -> bool:
@@ -116,8 +68,8 @@ def prime_iff_power_check(n: int) -> bool:
 def shifted_congruence_check(n: int, a: int = 1) -> bool:
     """Is T_n(x+a) = T_n(x) + a mod n?  True exactly for primes.
 
-    Both sides built by the three-term recurrence, the left with the
-    multiplier 2(x+a); coefficient vectors compared mod n.
+    The left side is built by the recurrence with the multiplier 2(x+a),
+    the right from T_n(x) mod n; coefficient vectors compared mod n.
     """
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
@@ -125,34 +77,9 @@ def shifted_congruence_check(n: int, a: int = 1) -> bool:
     a %= n
     if gcd(a, n) > 1:
         raise ValueError(f"shift {a} shares a factor with {n}")
-    plain = chebyshev_poly_mod(n, n)
-    shifted_coeffs = list(plain.coefficients) + [0] * (n + 1 - len(plain.coefficients))
-    shifted_coeffs[0] = (shifted_coeffs[0] + a) % n
-    want = ModPolynomial.of(shifted_coeffs, n)
-    if n < 1 << 30:
-        prev = np.zeros(n + 1, dtype=np.int64)
-        cur = np.zeros(n + 1, dtype=np.int64)
-        prev[0] = 1 % n
-        cur[0], cur[1] = a, 1 % n
-        for _ in range(n - 1):
-            nxt = np.zeros(n + 1, dtype=np.int64)
-            nxt[1:] = 2 * cur[:-1]
-            nxt += 2 * a * cur
-            nxt -= prev
-            nxt %= n
-            prev, cur = cur, nxt
-        got = ModPolynomial.of(cur.tolist(), n)
-    else:
-        prev_l, cur_l = [1], [a, 1]
-        for _ in range(n - 1):
-            nxt_l = [0] + [2 * c for c in cur_l]
-            for i, c in enumerate(cur_l):
-                nxt_l[i] += 2 * a * c
-            for i, c in enumerate(prev_l):
-                nxt_l[i] -= c
-            prev_l, cur_l = cur_l, [c % n for c in nxt_l]
-        got = ModPolynomial.of(cur_l, n)
-    return got == want
+    want = list(chebyshev_poly_mod(n, n).coefficients)
+    want[0] = (want[0] + a) % n
+    return chebyshev_t_int(n, a, n) == IntPolynomial.of(want)
 
 
 def coefficient_formula(n: int, k: int) -> int:

@@ -151,7 +151,7 @@ def _cmd_lucas_lehmer(args) -> None:
 
 
 def _cmd_taxicab(args) -> None:
-    n = criteria.taxicab_search(args.limit, args.threads)
+    n = criteria.taxicab_search(args.limit)
     rec = {"limit": args.limit, "n": n}
     _emit(args, [rec], [str(n) if n is not None else "none"])
 
@@ -274,8 +274,9 @@ def _cmd_coeff(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
+    # the searches split their range across processes; --threads caps the count
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--threads", type=int, default=None)
 
     parser = argparse.ArgumentParser(prog="chebring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,13 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(func=_cmd_cyclo_check)
 
-    p = sub.add_parser("pseudoprimes", parents=[common], help="composites passing a test")
+    p = sub.add_parser("pseudoprimes", parents=[common, pooled], help="composites passing a test")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--kind", choices=criteria.PSEUDOPRIME_KINDS, default="full")
     p.set_defaults(func=_cmd_pseudoprimes)
 
-    p = sub.add_parser("wieferich", parents=[common], help="mod-p^2 exceptional primes")
+    p = sub.add_parser("wieferich", parents=[common, pooled], help="mod-p^2 exceptional primes")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
     p.set_defaults(func=_cmd_wieferich)
@@ -347,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_primroot)
 
     p = sub.add_parser("dh-demo", parents=[common], help="in-process key exchange transcript")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-g", type=int, required=True)
     p.add_argument("--secret-a", type=int, default=None, dest="secret_a")

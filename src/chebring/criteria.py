@@ -65,24 +65,30 @@ def characters(a: int, p: int) -> CharPair:
     return CharPair(jacobi(a * a - 1, p), jacobi(2 * (a + 1), p))
 
 
+def _nondegenerate_characters(a: int, p: int) -> CharPair:
+    """characters(a, p), rejecting eps = 0, which means gcd(a^2 - 1, p) > 1."""
+    ch = characters(a, p)
+    if ch.eps == 0:
+        if a % p in (1, p - 1):
+            raise ValueError(f"degenerate base: {a} = +-1 mod {p}")
+        raise ValueError(f"degenerate base: gcd({a}^2 - 1, {p}) = {gcd(a * a - 1, p)}")
+    return ch
+
+
 def euler_test(a: int, p: int) -> bool:
     """T_{(p-eps)/2}(a) = delta and U_{(p-eps)/2-1}(a) = 0 mod p.
 
     Always true when p is a genuine odd prime; a composite p slipping
     through is by definition a pseudoprime to the base a.
     """
-    ch = characters(a, p)
-    if ch.eps == 0:
-        raise ValueError(f"degenerate base: {a} = +-1 mod {p}")
+    ch = _nondegenerate_characters(a, p)
     t, u = _ladder_tu(a % p, (p - ch.eps) // 2, p)
     return t == ch.delta % p and u == 0
 
 
 def euler_test_modp2(a: int, p: int) -> bool:
     """The sharper T_{(p-eps)/2}(a) = delta congruence taken mod p^2."""
-    ch = characters(a, p)
-    if ch.eps == 0:
-        raise ValueError(f"degenerate base: {a} = +-1 mod {p}")
+    ch = _nondegenerate_characters(a, p)
     m = p * p
     t, _ = _ladder_tu(a % m, (p - ch.eps) // 2, m)
     return t == ch.delta % m
@@ -333,28 +339,12 @@ def lucas_lehmer(p: int) -> bool:
     return s == 0
 
 
-def _taxicab_chunk(job: tuple[int, int]) -> int | None:
-    lo, hi = job
-    start = lo if lo % 2 else lo + 1
-    for n in range(start, hi, 2):
-        if n < 9 or pow(2, n, n) != 2:
-            continue
-        if is_prime(n):
-            continue
-        if cheb_t(2, n, n) == 2:
-            return n
-    return None
-
-
-def taxicab_search(limit: int, threads: int | None = None) -> int | None:
+def taxicab_search(limit: int) -> int | None:
     """Least odd composite n <= limit with n | 2^n - 2 and n | T_n(2) - 2.
 
     None when no such n exists below the limit.
     """
-    if limit < 9:
-        return None
-    for lo, hi in _split_range(9, limit + 1, max(1, (limit + 1) // 50_000)):
-        hit = _taxicab_chunk((lo, hi))
-        if hit is not None:
-            return hit
+    for n in range(9, limit + 1, 2):
+        if pow(2, n, n) == 2 and not is_prime(n) and cheb_t(2, n, n) == 2:
+            return n
     return None

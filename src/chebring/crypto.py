@@ -141,24 +141,30 @@ def encode_fields(*values: int) -> bytes:
     return bytes(out)
 
 
+def _is_canonical_decimal(digits: bytes) -> bool:
+    """ASCII digits as str(int) writes them: no sign, space, underscore or
+    leading zero."""
+    return digits.isdigit() and (digits[:1] != b"0" or digits == b"0")
+
+
 def decode_fields(data: bytes) -> list[int]:
-    """Inverse of encode_fields; rejects trailing or malformed bytes."""
+    """Inverse of encode_fields; accepts exactly the bytes it emits."""
     values = []
     i = 0
     while i < len(data):
         sep = data.find(b":", i)
         if sep < 0:
             raise ValueError("truncated wire field header")
-        try:
-            length = int(data[i:sep])
-        except ValueError as exc:
-            raise ValueError("malformed wire field length") from exc
+        header = data[i:sep]
+        if not _is_canonical_decimal(header) or header == b"0":
+            raise ValueError("malformed wire field length")
+        length = int(header)
         start, end = sep + 1, sep + 1 + length
-        if end > len(data) or len(data[start:end]) != length:
+        if end > len(data):
             raise ValueError("truncated wire field body")
         body = data[start:end]
-        if not body.isdigit():
-            raise ValueError("wire field body is not decimal")
+        if not _is_canonical_decimal(body):
+            raise ValueError("wire field body is not canonical decimal")
         values.append(int(body))
         i = end
     return values

@@ -11,14 +11,15 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 
     (t1, u1) * (t2, u2) = (t1*t2 + (a^2-1)*u1*u2, t1*u2 + t2*u1)
 
-and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Everything here
-is exact integer arithmetic on canonical residues in [0, m).
+and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
+computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
+two consecutive V terms.  Everything here is exact integer arithmetic on
+canonical residues in [0, m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -103,49 +104,49 @@ def pair_mul(x: ChebPair, y: ChebPair, a: RingElement | None = None) -> ChebPair
     return ChebPair(RingElement(t, a.modulus), RingElement(u, a.modulus), a, x.n + y.n)
 
 
-def _pair_pow(a: int, n: int, m: int) -> tuple[int, int]:
-    """(T_n(a), U_{n-1}(a)) mod m by binary powering of the pair.
+def _lucas_v(a: int, n: int, m: int) -> tuple[int, int]:
+    """(V_n, V_{n+1}) mod 2m, where V_k = 2 T_k(a) is the Lucas V-sequence
+    with P = 2a, Q = 1.
 
-    Works for every a and every m >= 2 (no invertibility assumptions).
+    The one exponent-bit ladder of the package: V_{2k} = V_k^2 - 2 and
+    V_{2k+1} = V_k V_{k+1} - P, two multiplications per bit.  Taken mod 2m,
+    every V_k stays even, so V_n / 2 is T_n(a) mod m for every m >= 1 and
+    no modular inverse is needed.
     """
-    a %= m
-    d = (a * a - 1) % m
-    rt, ru = 1 % m, 0  # running result omega^0
-    st, su = a, 1 % m  # running square omega^(2^i)
-    while n:
-        if n & 1:
-            rt, ru = (rt * st + d * ru * su) % m, (rt * su + st * ru) % m
-        n >>= 1
-        if n:
-            st, su = (st * st + d * su * su) % m, 2 * st * su % m
-    return rt, ru
+    if n < 0:
+        raise ValueError("exponent must be nonnegative")
+    mm = 2 * m
+    p = 2 * a % mm
+    v0, v1 = 2 % mm, p
+    for bit in bin(n)[2:]:  # n = 0 gives one 0 bit, which fixes (V_0, V_1) = (2, P)
+        if bit == "1":
+            v0, v1 = (v0 * v1 - p) % mm, (v1 * v1 - 2) % mm
+        else:
+            v0, v1 = (v0 * v0 - 2) % mm, (v0 * v1 - p) % mm
+    return v0, v1
 
 
 def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:
-    """(T_n(a), U_{n-1}(a)) mod m via a Lucas V-sequence ladder.
+    """(T_n(a), U_{n-1}(a)) mod m for a^2 - 1 a unit mod m.
 
-    Uses V_{2k} = V_k^2 - 2 and V_{2k+1} = V_k V_{k+1} - P with P = 2a,
-    two multiplications per exponent bit, then recovers
-    U_n(P, 1) = (2 V_{n+1} - P V_n) / (P^2 - 4).  Requires m odd and
-    gcd(a^2 - 1, m) = 1, which is exactly the domain of the Euler-criterion
-    and pseudoprime machinery.  Faster than _pair_pow but not general.
+    Reads U off the ladder through V_{n+1} - a V_n = 2 (a^2-1) U_{n-1}(a):
+    halving mod 2m leaves (a^2-1) U_{n-1} mod m, and one inverse finishes.
+    This is the domain of the Euler-criterion and pseudoprime machinery;
+    cheb_eval covers every (a, m).
     """
-    if n == 0:
-        return 1 % m, 0
-    p = 2 * a % m
-    v0, v1 = 2 % m, p
-    for i in range(n.bit_length() - 1, -1, -1):
-        if (n >> i) & 1:
-            v0, v1 = (v0 * v1 - p) % m, (v1 * v1 - 2) % m
-        else:
-            v0, v1 = (v0 * v0 - 2) % m, (v0 * v1 - p) % m
-    t = v0 * ((m + 1) >> 1) % m  # V_n / 2
-    u = (2 * v1 - p * v0) * pow(p * p - 4, -1, m) % m
+    v0, v1 = _lucas_v(a, n, m)
+    t = v0 >> 1
+    u = ((v1 - a * v0) % (2 * m) >> 1) * pow(a * a - 1, -1, m) % m
     return t, u
 
 
 def cheb_eval(a: int | RingElement, n: int, m: int | Modulus | None = None) -> ChebPair:
-    """Evaluate omega_a^n mod m in O(log n) pair multiplications."""
+    """Evaluate omega_a^n mod m in O(log n) ring operations, for every a and m.
+
+    With d = a^2 - 1 nonzero, the ladder runs mod 2m|d|, where the identity
+    V_{n+1} - a V_n = 2d U_{n-1}(a) leaves U_{n-1} mod m after an exact
+    division by 2d.  At a = 1, d = 0 and U_{n-1}(1) = n.
+    """
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     if isinstance(a, RingElement):
@@ -154,13 +155,20 @@ def cheb_eval(a: int | RingElement, n: int, m: int | Modulus | None = None) -> C
         if m is None:
             raise ValueError("cheb_eval needs a modulus for a plain-int base")
         base = element(a, m)
-    t, u = _pair_pow(base.value, n, base.m)
+    av, mv = base.value, base.m
+    d = av * av - 1
+    if d == 0:
+        t, u = 1 % mv, n % mv
+    else:
+        v0, v1 = _lucas_v(av, n, mv * abs(d))
+        t = (v0 >> 1) % mv
+        u = (v1 - av * v0) % (2 * mv * abs(d)) // (2 * d) % mv
     return ChebPair(element(t, base.modulus), element(u, base.modulus), base, n)
 
 
 def cheb_t(a: int, n: int, m: int) -> int:
     """T_n(a) mod m."""
-    return _pair_pow(a, n, m)[0]
+    return _lucas_v(a, n, m)[0] >> 1
 
 
 def cheb_compose_check(a: int | RingElement, n: int, k: int, m: int | Modulus | None = None) -> bool:
@@ -196,58 +204,3 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """The 2x2 step matrix [[a, a^2-1], [1, a]] acting on (T_n, U_{n-1}).
-
-    Derived from omega^(n+1) = omega * omega^n:
-        T_{n+1} = a T_n + (a^2-1) U_{n-1},   U_n = T_n + a U_{n-1}.
-    Its n-th power is [[T_n, (a^2-1) U_{n-1}], [U_{n-1}, T_n]], so matrix
-    powering is an independent route to cheb_eval (determinant stays 1,
-    the Pell identity in disguise).
-    """
-
-    base: RingElement
-
-    def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        a, m = self.base.value, self.base.m
-        return ((a, (a * a - 1) % m), (1 % m, a))
-
-    def det(self) -> int:
-        (e00, e01), (e10, e11) = self.entries()
-        return (e00 * e11 - e01 * e10) % self.base.m
-
-    def pow(self, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Matrix n-th power mod m by repeated squaring (2x2, generic)."""
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        m = self.base.m
-
-        def mul(x, y):
-            (a0, a1), (a2, a3) = x
-            (b0, b1), (b2, b3) = y
-            return (
-                ((a0 * b0 + a1 * b2) % m, (a0 * b1 + a1 * b3) % m),
-                ((a2 * b0 + a3 * b2) % m, (a2 * b1 + a3 * b3) % m),
-            )
-
-        result = ((1 % m, 0), (0, 1 % m))
-        sq = self.entries()
-        while n:
-            if n & 1:
-                result = mul(result, sq)
-            n >>= 1
-            if n:
-                sq = mul(sq, sq)
-        return result
-
-    def pair(self, n: int) -> tuple[int, int]:
-        """(T_n, U_{n-1}) read off the first column of the n-th power."""
-        mat = self.pow(n)
-        return (mat[0][0], mat[1][0])
-
-
-def coprime_to(a: int, m: int) -> bool:
-    return gcd(a, m) == 1

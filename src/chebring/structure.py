@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .modarith import cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
@@ -204,17 +206,38 @@ def psi(d: int) -> IntPolynomial:
     return half * half
 
 
-def chebyshev_t_int(n: int) -> IntPolynomial:
-    """T_n(x) as an exact integer polynomial."""
+def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPolynomial:
+    """T_n(x + shift) as an integer polynomial, coefficients reduced mod the
+    modulus when one is given.
+
+    The one polynomial recurrence of the package, T_0 = 1, T_1 = x + shift,
+    T_{k+1} = 2(x + shift) T_k - T_{k-1}, dense O(n^2) on numpy lanes: int64
+    lanes for moduli below 2^30, where every step's products stay below
+    2^62, and exact Python-integer lanes otherwise.
+    """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    prev, cur = IntPolynomial.of([1]), IntPolynomial.of([0, 1])
-    if n == 0:
-        return prev
-    two_x = IntPolynomial.of([0, 2])
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+    dtype = np.int64 if modulus is not None and modulus < 1 << 30 else object
+    if modulus is not None:
+        shift %= modulus
+    # Start from T_{-1} = T_1 = x + shift and T_0 = 1, so that n steps give T_n.
+    prev = np.zeros(n + 2, dtype=dtype)
+    prev[0], prev[1] = shift, 1
+    cur = np.zeros(n + 2, dtype=dtype)
+    cur[0] = 1
+    two_shift = 2 * shift
+    for _ in range(n):
+        nxt = np.zeros(n + 2, dtype=dtype)
+        nxt[1:] = 2 * cur[:-1]
+        if two_shift:
+            nxt += two_shift * cur
+        nxt -= prev
+        if modulus is not None:
+            nxt %= modulus
+        prev, cur = cur, nxt
+    if modulus is not None:
+        cur %= modulus
+    return IntPolynomial.of(cur.tolist())
 
 
 def cyclotomic_factorization_check(n: int) -> bool:
@@ -237,7 +260,11 @@ def omega_order(a: int, p: int) -> int:
     a %= p
     if a == 1 or a == p - 1:
         raise ValueError(f"{a} is a fixed point, outside R_{p}")
-    eps = jacobi(a * a - 1, p)
+    return _order(a, p, jacobi(a * a - 1, p))
+
+
+def _order(a: int, p: int, eps: int) -> int:
+    """omega_order for a in R_p with eps = ((a^2-1)/p), p not re-checked."""
     order = p - eps
     for q in prime_factors(order):
         while order % q == 0 and cheb_t(a, order // q, p) == 1:
@@ -252,11 +279,11 @@ def partition(p: int) -> PartitionTable:
     evaluates T_{(p-eps)/2}(a) mod p, which lands on delta for a prime
     modulus.  The routes must agree cell by cell.
     """
-    _check_odd_prime(p)
+    domain = ResidueDomain(p)  # checks that p is an odd prime, once
     by_char: dict[str, list[int]] = {key: [] for key in CELLS}
     by_cheb: dict[str, list[int]] = {key: [] for key in CELLS}
     orders: dict[int, int] = {}
-    for a in ResidueDomain(p):
+    for a in domain:
         eps = jacobi(a * a - 1, p)
         delta = jacobi(2 * (a + 1), p)
         by_char[_cell(eps, delta)].append(a)
@@ -264,7 +291,7 @@ def partition(p: int) -> PartitionTable:
         if t != 1 and t != p - 1:
             raise ArithmeticError(f"T_((p-eps)/2)({a}) = {t} is not +-1 mod {p}")
         by_cheb[_cell(eps, 1 if t == 1 else -1)].append(a)
-        orders[a] = omega_order(a, p)
+        orders[a] = _order(a, p, eps)
     if by_char != by_cheb:
         raise ArithmeticError(f"character and Chebyshev partitions disagree at p={p}")
     return PartitionTable(p, {key: tuple(val) for key, val in by_char.items()}, orders)

@@ -7,7 +7,6 @@ import pytest
 
 from chebring.aks import (
     DEGREE_CAP,
-    ModPolynomial,
     ResourceLimitError,
     chebyshev_poly_mod,
     coefficient_formula,
@@ -16,7 +15,7 @@ from chebring.aks import (
     shifted_congruence_check,
 )
 from chebring.primes import is_prime, prime_factors
-from chebring.structure import chebyshev_t_int
+from chebring.structure import IntPolynomial, chebyshev_t_int
 
 
 def test_poly_mod_goldens():
@@ -35,8 +34,8 @@ def test_poly_mod_paths_agree():
         n = rng.randrange(0, 60)
         m = rng.randrange(2, 1000)
         exact = chebyshev_poly_mod(n).coefficients
-        assert chebyshev_poly_mod(n, m) == ModPolynomial.of(exact, m)
-        assert chebyshev_poly_mod(n, big) == ModPolynomial.of(exact, big)
+        assert chebyshev_poly_mod(n, m) == IntPolynomial.of(c % m for c in exact)
+        assert chebyshev_poly_mod(n, big) == IntPolynomial.of(c % big for c in exact)
 
 
 def test_poly_mod_validation():
@@ -153,6 +152,8 @@ def test_lucas_step_validation():
 
 
 def test_modpolynomial_normalization():
-    assert ModPolynomial.of([1, 2, 0, 0]).coefficients == (1, 2)
-    assert ModPolynomial.of([5, 7], 5).coefficients == (0, 2)
-    assert ModPolynomial.of([]).degree == -1
+    """Reduced polynomials drop the top coefficients that vanish mod m."""
+    assert IntPolynomial.of([1, 2, 0, 0]).coefficients == (1, 2)
+    assert IntPolynomial.of([]).degree == -1
+    assert chebyshev_poly_mod(4, 8).coefficients == (1,)  # 8x^4-8x^2+1 mod 8
+    assert chebyshev_t_int(2, 1, 2).coefficients == (1,)  # 2(x+1)^2-1 mod 2

@@ -232,6 +232,11 @@ def test_domain_errors_exit_1(capsys):
     assert "cap" in err
     code, _, err = run(capsys, ["dh-demo", "-p", "15", "-g", "2"])
     assert code == 1
+    for flag in ([], ["--mod-p2"]):  # 4 is not +-1 mod 15, but 4^2 - 1 = 15
+        code, out, err = run(capsys, ["euler", "-a", "4", "-p", "15", *flag])
+        assert (code, out, err) == (1, "", "error: degenerate base: gcd(4^2 - 1, 15) = 15\n")
+    code, _, err = run(capsys, ["euler", "-a", "14", "-p", "15"])
+    assert (code, err) == (1, "error: degenerate base: 14 = +-1 mod 15\n")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebring.crypto import (
     DhParty,
@@ -166,3 +168,29 @@ def test_wire_rejects_malformed():
         decode_fields(b"0:")  # zero-length body is never emitted
     with pytest.raises(ValueError):
         decode_fields(b"2:232:1")  # truncated second field
+    # accepted by int() but never emitted: zero padding, space, sign, underscore
+    for data in (b"02:10", b" 2:10", b"+1:5", b"1_0:1111111111", b"2:05"):
+        with pytest.raises(ValueError):
+            decode_fields(data)
+
+
+# Fields whose declared length fits the body, with the prefixes and the
+# characters that int() accepts and encode_fields never writes.
+NEAR_CANONICAL_FIELD = st.tuples(
+    st.sampled_from(["", "0", " ", "+"]), st.text(alphabet="0123456789 +_", min_size=1, max_size=6)
+).map(lambda pair: f"{pair[0]}{len(pair[1])}:{pair[1]}")
+WIRE_BYTES = st.one_of(
+    st.binary(max_size=24),
+    st.lists(NEAR_CANONICAL_FIELD, max_size=3).map(lambda fields: "".join(fields).encode()),
+    st.lists(st.integers(min_value=0, max_value=10**30), max_size=4).map(lambda vs: encode_fields(*vs)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(WIRE_BYTES)
+def test_wire_accepts_only_what_it_emits(data):
+    try:
+        values = decode_fields(data)
+    except ValueError:
+        return
+    assert encode_fields(*values) == data

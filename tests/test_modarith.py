@@ -1,6 +1,7 @@
 """Pair arithmetic: golden orbit, cross-route agreement, algebraic laws."""
 
 import random
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
@@ -10,9 +11,7 @@ from chebring.modarith import (
     ChebPair,
     Modulus,
     RingElement,
-    TransferMatrix,
     _ladder_tu,
-    _pair_pow,
     cheb_compose_check,
     cheb_eval,
     cheb_t,
@@ -22,6 +21,60 @@ from chebring.modarith import (
     pair_mul,
 )
 from chebring.primes import primes_upto
+
+# --- oracle: the transfer-matrix route, independent of the Lucas ladder ------
+
+
+@dataclass(frozen=True)
+class TransferMatrix:
+    """The 2x2 step matrix [[a, a^2-1], [1, a]] acting on (T_n, U_{n-1}).
+
+    Derived from omega^(n+1) = omega * omega^n:
+        T_{n+1} = a T_n + (a^2-1) U_{n-1},   U_n = T_n + a U_{n-1}.
+    Its n-th power is [[T_n, (a^2-1) U_{n-1}], [U_{n-1}, T_n]], so matrix
+    powering is an independent route to cheb_eval (determinant stays 1,
+    the Pell identity in disguise).
+    """
+
+    base: RingElement
+
+    def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        a, m = self.base.value, self.base.m
+        return ((a, (a * a - 1) % m), (1 % m, a))
+
+    def det(self) -> int:
+        (e00, e01), (e10, e11) = self.entries()
+        return (e00 * e11 - e01 * e10) % self.base.m
+
+    def pow(self, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Matrix n-th power mod m by repeated squaring (2x2, generic)."""
+        if n < 0:
+            raise ValueError("exponent must be nonnegative")
+        m = self.base.m
+
+        def mul(x, y):
+            (a0, a1), (a2, a3) = x
+            (b0, b1), (b2, b3) = y
+            return (
+                ((a0 * b0 + a1 * b2) % m, (a0 * b1 + a1 * b3) % m),
+                ((a2 * b0 + a3 * b2) % m, (a2 * b1 + a3 * b3) % m),
+            )
+
+        result = ((1 % m, 0), (0, 1 % m))
+        sq = self.entries()
+        while n:
+            if n & 1:
+                result = mul(result, sq)
+            n >>= 1
+            if n:
+                sq = mul(sq, sq)
+        return result
+
+    def pair(self, n: int) -> tuple[int, int]:
+        """(T_n, U_{n-1}) read off the first column of the n-th power."""
+        mat = self.pow(n)
+        return (mat[0][0], mat[1][0])
+
 
 # The full orbit of omega_19 mod 23: (T_n(19), U_{n-1}(19)) for n = 1..24.
 ORBIT_19_MOD_23 = [
@@ -63,17 +116,44 @@ def test_linear_recurrence_oracle():
 
 
 def test_ladder_agrees_with_pair_pow():
-    """The Lucas-V ladder on its contract domain: m odd, a^2-1 invertible."""
+    """_ladder_tu on its contract domain, a^2-1 invertible mod m, against
+    the transfer-matrix oracle."""
     rng = random.Random(12)
     checked = 0
     while checked < 300:
-        m = rng.randrange(3, 10**6) | 1
+        m = rng.randrange(2, 10**6)
         a = rng.randrange(m)
         if gcd(a * a - 1, m) != 1:
             continue
         n = rng.randrange(0, 10**9)
-        assert _ladder_tu(a, n, m) == _pair_pow(a, n, m)
+        assert _ladder_tu(a, n, m) == TransferMatrix(element(a, m)).pair(n)
         checked += 1
+
+
+def test_eval_matches_matrix_oracle_everywhere():
+    """cheb_eval and cheb_t on every kind of (a, m), not only where a^2-1 is
+    a unit: a = 0, 1, -1, negative a, even m, gcd(a^2-1, m) > 1, and
+    moduli above 2^127."""
+    rng = random.Random(18)
+    for _ in range(1500):
+        m = rng.choice(
+            (
+                rng.randrange(2, 100),
+                rng.randrange(2, 10**6),
+                2 * rng.randrange(1, 10**6),
+                rng.randrange(1 << 127, 1 << 130),
+            )
+        )
+        a = rng.choice(
+            (0, 1, -1, m - 1, m + 1, rng.randrange(m), -rng.randrange(1, 10**9), rng.randrange(10**40))
+        )
+        if rng.random() < 0.25:  # a - 1 divides m, so gcd(a^2 - 1, m) > 1
+            a = rng.randrange(3, 10**4)
+            m = (a - 1) * rng.randrange(1, 10**4)
+        n = rng.choice((0, 1, 2, rng.randrange(3, 100), rng.randrange(0, 10**15)))
+        want = TransferMatrix(element(a, m)).pair(n)
+        assert cheb_eval(a, n, m).as_tuple() == want, (a, n, m)
+        assert cheb_t(a, n, m) == want[0], (a, n, m)
 
 
 def test_matrix_route_agrees():
@@ -175,6 +255,8 @@ def test_eval_argument_errors():
         cheb_eval(5, -1, 23)
     with pytest.raises(ValueError):
         cheb_eval(5, 3)
+    with pytest.raises(ValueError):
+        cheb_t(5, -1, 23)
     with pytest.raises(ValueError):
         TransferMatrix(element(5, 23)).pow(-1)
     with pytest.raises(ValueError):

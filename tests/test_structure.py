@@ -8,6 +8,7 @@ import pytest
 import sympy
 from sympy.abc import x
 
+from chebring import structure
 from chebring.modarith import cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
 from chebring.structure import (
@@ -94,6 +95,19 @@ def test_partition_sweep_consistent():
         assert sum(len(v) for v in table.sets.values()) == p - 2
 
 
+def test_partition_checks_its_prime_once(monkeypatch):
+    """One primality check per partition, not one per residue; the order of
+    each residue still comes from cheb_t as structure binds it."""
+    primality_calls, ladder_calls = [], []
+    real_is_prime, real_cheb_t = structure.is_prime, structure.cheb_t
+    monkeypatch.setattr(structure, "is_prime", lambda n: primality_calls.append(n) or real_is_prime(n))
+    monkeypatch.setattr(structure, "cheb_t", lambda *args: ladder_calls.append(args) or real_cheb_t(*args))
+    table = partition(1009)
+    assert primality_calls == [1009]
+    assert len(ladder_calls) > 1007
+    assert table.orders[0] == 4
+
+
 def test_omega_order_golden():
     assert omega_order(19, 23) == 24
     assert omega_order(11, 23) == 3
@@ -173,6 +187,13 @@ def test_chebyshev_t_int_matches_sympy():
         ours = list(chebyshev_t_int(n).coefficients)
         theirs = sympy.Poly(sympy.chebyshevt(n, x), x).all_coeffs()[::-1]
         assert ours == theirs
+    for n in range(0, 40, 3):
+        for shift in (-3, 1, 5):
+            theirs = sympy.Poly(sympy.chebyshevt(n, x + shift), x).all_coeffs()[::-1]
+            assert list(chebyshev_t_int(n, shift).coefficients) == theirs
+            for m in (2, 97, (1 << 40) + 15):  # int64 and exact lanes
+                reduced = chebyshev_t_int(n, shift, m).coefficients
+                assert reduced == IntPolynomial.of(int(c) % m for c in theirs).coefficients
 
 
 def test_factorization_degree_bookkeeping():
