@@ -6,7 +6,8 @@ x^{n-2k} in T_n is (-1)^k d_k 2^{n-2k-1} with d_k = (n/k) C(n-k-1, k-1),
 so the whole check reduces to 2^{n-1} = 1 mod n plus a scan of the d_k;
 a composite n fails at k = its least prime factor, since n divides d_k
 whenever gcd(k, n) = 1.  The shifted variant T_n(x+a) = T_n(x) + a is
-checked by an explicit polynomial recurrence.
+checked with both sides built mod n by doubling, in O(log n) products of
+reduced polynomials.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ def chebyshev_poly_mod(n: int, modulus: int | None = None) -> IntPolynomial:
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     _check_cap(n)
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
     return chebyshev_t_int(n, modulus=modulus)
 
 
@@ -68,8 +67,9 @@ def prime_iff_power_check(n: int) -> bool:
 def shifted_congruence_check(n: int, a: int = 1) -> bool:
     """Is T_n(x+a) = T_n(x) + a mod n?  True exactly for primes.
 
-    The left side is built by the recurrence with the multiplier 2(x+a),
-    the right from T_n(x) mod n; coefficient vectors compared mod n.
+    Both sides are built mod n by chebyshev_t_int, which doubles over the
+    bits of n: the left as T_n in y = x + a, the right from T_n(x) mod n;
+    coefficient vectors compared mod n.
     """
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")

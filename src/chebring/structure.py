@@ -210,33 +210,76 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
     """T_n(x + shift) as an integer polynomial, coefficients reduced mod the
     modulus when one is given.
 
-    The one polynomial recurrence of the package, T_0 = 1, T_1 = x + shift,
-    T_{k+1} = 2(x + shift) T_k - T_{k-1}, dense O(n^2) on numpy lanes: int64
-    lanes for moduli below 2^30, where every step's products stay below
-    2^62, and exact Python-integer lanes otherwise.
+    The one polynomial routine of the package.  With a modulus m >= 2 it
+    doubles over the bits of n, carrying (T_k, T_{k+1}) in y = x + shift
+    through T_{2k} = 2T_k^2 - 1 and T_{2k+1} = 2T_k T_{k+1} - y: O(log n)
+    products, each reduced mod m, on int64 lanes for m below 2^30 and
+    Python-integer lanes otherwise.  Without one it steps the exact
+    three-term recurrence T_{k+1} = 2y T_k - T_{k-1}, dense O(n^2): exact
+    coefficients grow to n bits, where products cost more than the sums
+    of the recurrence.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    dtype = np.int64 if modulus is not None and modulus < 1 << 30 else object
-    if modulus is not None:
-        shift %= modulus
+    if modulus is None:
+        return _chebyshev_t_exact(n, shift)
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    dtype = np.int64 if modulus < 1 << 30 else object
+    one, y = np.ones(1, dtype=dtype), np.array([shift % modulus, 1], dtype=dtype)
+    # (T_k, T_{k+1}) from k = 0 up to k = n // 2, then T_n by one product.
+    k = n >> 1
+    t0, t1 = one, y
+    for i in range(k.bit_length() - 1, -1, -1):
+        if k >> i & 1:
+            t0, t1 = _twice_product(t0, t1, y, modulus), _twice_product(t1, t1, one, modulus)
+        else:
+            t0, t1 = _twice_product(t0, t0, one, modulus), _twice_product(t0, t1, y, modulus)
+    out = _twice_product(t0, t1, y, modulus) if n & 1 else _twice_product(t0, t0, one, modulus)
+    return IntPolynomial.of(out.tolist())
+
+
+def _twice_product(a: np.ndarray, b: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
+    """2ab - low mod m, for coefficient vectors with entries in [0, m)."""
+    out = _mulmod(a, b, m)
+    out *= 2
+    out[: len(low)] -= low
+    out %= m
+    return out
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """ab mod m for coefficient vectors with entries in [0, m).
+
+    On int64 lanes (m < 2^30) one convolution is exact while its longest
+    sum, min(len) terms below m^2 each, stays below 2^63; past that the
+    operands split into 15-bit halves, whose four convolutions sum terms
+    below 2^30.
+    """
+    if a.dtype == object or min(len(a), len(b)) * (m - 1) ** 2 < 1 << 63:
+        return np.convolve(a, b) % m
+    a0, a1, b0, b1 = a & 0x7FFF, a >> 15, b & 0x7FFF, b >> 15
+    lo = np.convolve(a0, b0)
+    mid = np.convolve(a0, b1) + np.convolve(a1, b0)
+    hi = np.convolve(a1, b1)
+    return (hi % m * ((1 << 30) % m) + mid % m * (1 << 15) + lo) % m
+
+
+def _chebyshev_t_exact(n: int, shift: int) -> IntPolynomial:
+    """T_n(x + shift) over the integers by the three-term recurrence."""
     # Start from T_{-1} = T_1 = x + shift and T_0 = 1, so that n steps give T_n.
-    prev = np.zeros(n + 2, dtype=dtype)
+    prev = np.zeros(n + 2, dtype=object)
     prev[0], prev[1] = shift, 1
-    cur = np.zeros(n + 2, dtype=dtype)
+    cur = np.zeros(n + 2, dtype=object)
     cur[0] = 1
     two_shift = 2 * shift
     for _ in range(n):
-        nxt = np.zeros(n + 2, dtype=dtype)
+        nxt = np.zeros(n + 2, dtype=object)
         nxt[1:] = 2 * cur[:-1]
         if two_shift:
             nxt += two_shift * cur
         nxt -= prev
-        if modulus is not None:
-            nxt %= modulus
         prev, cur = cur, nxt
-    if modulus is not None:
-        cur %= modulus
     return IntPolynomial.of(cur.tolist())
 
 

@@ -1,6 +1,7 @@
 """Polynomial congruences: primality equivalences and exact coefficients."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -29,12 +30,14 @@ def test_poly_mod_goldens():
 def test_poly_mod_paths_agree():
     """numpy path, bigint path, exact path reduced: all one polynomial."""
     rng = random.Random(51)
+    halves = (1 << 30) - 35  # int64 lanes, products split into 15-bit halves
     big = (1 << 31) + 11  # above the numpy cutoff
     for _ in range(40):
         n = rng.randrange(0, 60)
         m = rng.randrange(2, 1000)
         exact = chebyshev_poly_mod(n).coefficients
         assert chebyshev_poly_mod(n, m) == IntPolynomial.of(c % m for c in exact)
+        assert chebyshev_poly_mod(n, halves) == IntPolynomial.of(c % halves for c in exact)
         assert chebyshev_poly_mod(n, big) == IntPolynomial.of(c % big for c in exact)
 
 
@@ -43,6 +46,9 @@ def test_poly_mod_validation():
         chebyshev_poly_mod(-1)
     with pytest.raises(ValueError):
         chebyshev_poly_mod(5, 1)
+    for m in (0, -5):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            chebyshev_t_int(5, 0, m)
     with pytest.raises(ResourceLimitError):
         chebyshev_poly_mod(DEGREE_CAP + 1)
     assert chebyshev_poly_mod(DEGREE_CAP, 10007).degree == DEGREE_CAP
@@ -78,6 +84,9 @@ def test_shifted_check_edges():
         shifted_congruence_check(15, 3)  # shift shares a factor
     with pytest.raises(ResourceLimitError):
         shifted_congruence_check(DEGREE_CAP + 1, 1)
+    start = time.perf_counter()
+    assert shifted_congruence_check(9973, 1)  # the largest prime below DEGREE_CAP
+    assert time.perf_counter() - start < 1.0
 
 
 def test_coefficient_formula_goldens():
