@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .modarith import _ladder_tu, cheb_t, jacobi
+from .modarith import _ladder_tu, _lucas_v, cheb_t, jacobi
 from .primes import is_prime, primes_in
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
@@ -54,7 +54,6 @@ class PseudoprimeVerdict:
 class WieferichHit:
     p: int
     base: int
-    u_mod_p2: int = 0
 
 
 def characters(a: int, p: int) -> CharPair:
@@ -191,9 +190,13 @@ def _wieferich_chunk(job: tuple[int, int, int]) -> list[tuple[int, int]]:
         eps = jacobi(base * base - 1, p)
         if eps == 0:
             continue
+        # With n = (p-eps)/2, V_{n+1} - a V_n = 2(a^2-1) U_{n-1} and a^2 - 1 is a
+        # unit mod p^2, so U_{n-1} = 0 mod p^2 exactly when the left side
+        # vanishes mod 2p^2: no modular inverse needed.
         m = p * p
-        _, u = _ladder_tu(base % m, (p - eps) // 2, m)
-        if u == 0:
+        a = base % m
+        v0, v1 = _lucas_v(a, (p - eps) // 2, m)
+        if (v1 - a * v0) % (2 * m) == 0:
             hits.append((p, base))
     return hits
 

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .modarith import jacobi
-from .primes import is_prime
-from .structure import CELLS, partition
+from .structure import CELLS, _check_odd_prime, partition
 
 TOLERANCE = 1e-9
 
@@ -32,11 +31,6 @@ class ExpSumReport:
     S: complex
     bound: float
     max_ratio: float
-
-
-def _check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
 def _close(x: complex, y: complex) -> bool:

@@ -19,89 +19,25 @@ canonical residues in [0, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus m >= 2; arbitrary precision."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.m}")
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A canonical residue in [0, m)."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.m:
-            raise ValueError(f"residue {self.value} not canonical mod {self.modulus.m}")
-
-    @property
-    def m(self) -> int:
-        return self.modulus.m
-
-
-def element(value: int, m: int | Modulus) -> RingElement:
-    """Build a RingElement, reducing value into canonical range."""
-    mod = m if isinstance(m, Modulus) else Modulus(m)
-    return RingElement(value % mod.m, mod)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ChebPair:
-    """The pair (T_n(a), U_{n-1}(a)) mod m representing omega_a^n.
+    """The pair (T_n(a), U_{n-1}(a)) mod m representing omega_a^n; all four
+    fields are plain ints, t, u and a canonical in [0, m)."""
 
-    The exponent n is bookkeeping only and does not take part in equality.
-    """
-
-    t: RingElement
-    u: RingElement
-    base: RingElement
-    n: int = field(compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        if not (self.t.modulus == self.u.modulus == self.base.modulus):
-            raise ValueError("pair components must share one modulus")
-
-    @property
-    def m(self) -> int:
-        return self.base.m
+    t: int
+    u: int
+    a: int
+    m: int
 
     def as_tuple(self) -> tuple[int, int]:
-        return (self.t.value, self.u.value)
+        return (self.t, self.u)
 
     def pell_defect(self) -> int:
         """t^2 - (a^2-1)u^2 - 1 mod m; zero for genuine powers of omega_a."""
-        a, m = self.base.value, self.m
-        return (self.t.value**2 - (a * a - 1) * self.u.value**2 - 1) % m
-
-
-def identity_pair(a: RingElement) -> ChebPair:
-    return ChebPair(element(1, a.modulus), element(0, a.modulus), a, 0)
-
-
-def pair_mul(x: ChebPair, y: ChebPair, a: RingElement | None = None) -> ChebPair:
-    """Multiply two powers of omega_a; exponents add."""
-    if a is None:
-        a = x.base
-    if x.base != y.base or x.base != a:
-        raise ValueError("pair_mul operands must share modulus and base")
-    m = a.m
-    av = a.value
-    d = (av * av - 1) % m
-    t1, u1 = x.t.value, x.u.value
-    t2, u2 = y.t.value, y.u.value
-    t = (t1 * t2 + d * u1 * u2) % m
-    u = (t1 * u2 + t2 * u1) % m
-    return ChebPair(RingElement(t, a.modulus), RingElement(u, a.modulus), a, x.n + y.n)
+        return (self.t**2 - (self.a * self.a - 1) * self.u**2 - 1) % self.m
 
 
 def _lucas_v(a: int, n: int, m: int) -> tuple[int, int]:
@@ -140,7 +76,7 @@ def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:
     return t, u
 
 
-def cheb_eval(a: int | RingElement, n: int, m: int | Modulus | None = None) -> ChebPair:
+def cheb_eval(a: int, n: int, m: int) -> ChebPair:
     """Evaluate omega_a^n mod m in O(log n) ring operations, for every a and m.
 
     With d = a^2 - 1 nonzero, the ladder runs mod 2m|d|, where the identity
@@ -149,21 +85,17 @@ def cheb_eval(a: int | RingElement, n: int, m: int | Modulus | None = None) -> C
     """
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    if isinstance(a, RingElement):
-        base = a
-    else:
-        if m is None:
-            raise ValueError("cheb_eval needs a modulus for a plain-int base")
-        base = element(a, m)
-    av, mv = base.value, base.m
-    d = av * av - 1
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    a %= m
+    d = a * a - 1
     if d == 0:
-        t, u = 1 % mv, n % mv
+        t, u = 1, n % m
     else:
-        v0, v1 = _lucas_v(av, n, mv * abs(d))
-        t = (v0 >> 1) % mv
-        u = (v1 - av * v0) % (2 * mv * abs(d)) // (2 * d) % mv
-    return ChebPair(element(t, base.modulus), element(u, base.modulus), base, n)
+        v0, v1 = _lucas_v(a, n, m * abs(d))
+        t = (v0 >> 1) % m
+        u = (v1 - a * v0) % (2 * m * abs(d)) // (2 * d) % m
+    return ChebPair(t, u, a, m)
 
 
 def cheb_t(a: int, n: int, m: int) -> int:
@@ -171,21 +103,17 @@ def cheb_t(a: int, n: int, m: int) -> int:
     return _lucas_v(a, n, m)[0] >> 1
 
 
-def cheb_compose_check(a: int | RingElement, n: int, k: int, m: int | Modulus | None = None) -> bool:
+def cheb_compose_check(a: int, n: int, k: int, m: int) -> bool:
     """Self-test primitive: T_n(T_k(a)) == T_{nk}(a) == T_k(T_n(a)) mod m."""
     if n < 1 or k < 1:
         raise ValueError("exponents must be >= 1")
-    if isinstance(a, RingElement):
-        av, mv = a.value, a.m
-    else:
-        if m is None:
-            raise ValueError("cheb_compose_check needs a modulus for a plain-int base")
-        mv = m.m if isinstance(m, Modulus) else m
-        av = a % mv
-    tk = cheb_t(av, k, mv)
-    tn = cheb_t(av, n, mv)
-    tnk = cheb_t(av, n * k, mv)
-    return cheb_t(tk, n, mv) == tnk and cheb_t(tn, k, mv) == tnk
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    a %= m
+    tk = cheb_t(a, k, m)
+    tn = cheb_t(a, n, m)
+    tnk = cheb_t(a, n * k, m)
+    return cheb_t(tk, n, m) == tnk and cheb_t(tn, k, m) == tnk
 
 
 def jacobi(a: int, n: int) -> int:

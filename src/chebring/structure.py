@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,35 +32,19 @@ def _check_odd_prime(p: int) -> None:
 
 
 @dataclass(frozen=True)
-class ResidueDomain:
-    """R_p = {0, 2, 3, ..., p-2}, the residues where the criterion lives."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        _check_odd_prime(self.p)
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return (0, *range(2, self.p - 1))
-
-    def __len__(self) -> int:
-        return self.p - 2
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return 0 <= a < self.p and a != 1 and a != self.p - 1
-
-
-@dataclass(frozen=True)
 class PartitionTable:
-    """The four cells A_{eps delta} of R_p plus every element's order."""
+    """The four cells A_{eps delta} of R_p; every element's order on demand."""
 
     p: int
     sets: dict[str, tuple[int, ...]]
-    orders: dict[int, int]
+
+    @cached_property
+    def orders(self) -> dict[int, int]:
+        """The omega-order of each element, found on first use: eps is the
+        first sign of the element's cell."""
+        return {
+            a: _order(a, self.p, 1 if key[0] == "+" else -1) for key, cell in self.sets.items() for a in cell
+        }
 
     def cell_of(self, a: int) -> str:
         for key, members in self.sets.items():
@@ -322,11 +306,10 @@ def partition(p: int) -> PartitionTable:
     evaluates T_{(p-eps)/2}(a) mod p, which lands on delta for a prime
     modulus.  The routes must agree cell by cell.
     """
-    domain = ResidueDomain(p)  # checks that p is an odd prime, once
+    _check_odd_prime(p)
     by_char: dict[str, list[int]] = {key: [] for key in CELLS}
     by_cheb: dict[str, list[int]] = {key: [] for key in CELLS}
-    orders: dict[int, int] = {}
-    for a in domain:
+    for a in (0, *range(2, p - 1)):
         eps = jacobi(a * a - 1, p)
         delta = jacobi(2 * (a + 1), p)
         by_char[_cell(eps, delta)].append(a)
@@ -334,10 +317,9 @@ def partition(p: int) -> PartitionTable:
         if t != 1 and t != p - 1:
             raise ArithmeticError(f"T_((p-eps)/2)({a}) = {t} is not +-1 mod {p}")
         by_cheb[_cell(eps, 1 if t == 1 else -1)].append(a)
-        orders[a] = _order(a, p, eps)
     if by_char != by_cheb:
         raise ArithmeticError(f"character and Chebyshev partitions disagree at p={p}")
-    return PartitionTable(p, {key: tuple(val) for key, val in by_char.items()}, orders)
+    return PartitionTable(p, {key: tuple(val) for key, val in by_char.items()})
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:

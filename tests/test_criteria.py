@@ -19,6 +19,7 @@ from chebring.criteria import (
     weak_pseudoprime_test,
     wieferich_search,
 )
+from chebring.modarith import _ladder_tu, jacobi
 from chebring.primes import primes_in, primes_upto
 
 BASE2_FULL_PSEUDOPRIMES = [989, 2701, 10609, 11041, 15505, 18721, 18817]
@@ -142,6 +143,18 @@ def test_wieferich_small_limits():
     assert [h.p for h in wieferich_search(18, 10_000)] == [11]
     assert [h.p for h in wieferich_search(2, 10_000)] == [103]
     assert wieferich_search(8, 10_000) == []
+
+
+def test_wieferich_matches_inverse_route():
+    """The scan tests U = 0 mod p^2 without an inverse; _ladder_tu computes
+    U_{(p-eps)/2 - 1} itself through the inverse of base^2 - 1."""
+    for base in (2, 3, 5, 6, 7, 10, 12, 13, 17, 18, -5, 10**12 + 39):
+        want = []
+        for p in primes_in(3, 20_000):
+            eps = jacobi(base * base - 1, p)
+            if base % p and eps and _ladder_tu(base % (p * p), (p - eps) // 2, p * p)[1] == 0:
+                want.append(p)
+        assert [h.p for h in wieferich_search(base, 20_000, threads=1)] == want, base
 
 
 def test_wieferich_skips_degenerate_primes():

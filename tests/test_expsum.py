@@ -102,5 +102,9 @@ def test_domain_validation():
         partition_sums(15)
     with pytest.raises(ValueError):
         gauss_sums(9)
+    for fn in (gauss_sums, weil_sum, shifted_character_sums):
+        for bad in (1, 2, 9, 15):
+            with pytest.raises(ValueError, match=f"modulus must be an odd prime, got {bad}$"):
+                fn(bad)
     with pytest.raises(ValueError):
         difference_lemma_check(3)

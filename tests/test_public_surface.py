@@ -12,14 +12,11 @@ PUBLIC_NAMES = [
     "DhParty",
     "ExpSumReport",
     "IntPolynomial",
-    "Modulus",
     "PartitionTable",
     "PrimitiveRootReport",
     "ProtocolError",
     "PseudoprimeVerdict",
-    "ResidueDomain",
     "ResourceLimitError",
-    "RingElement",
     "ShiftRefinement",
     "WieferichHit",
     "character_transport_check",
@@ -38,7 +35,6 @@ PUBLIC_NAMES = [
     "difference_lemma_check",
     "discrete_log_bruteforce",
     "divisors",
-    "element",
     "encode_fields",
     "euler_criterion_failures",
     "euler_phi",
@@ -47,7 +43,6 @@ PUBLIC_NAMES = [
     "factorize",
     "full_pseudoprime_test",
     "gauss_sums",
-    "identity_pair",
     "is_chebyshev_square",
     "is_prime",
     "jacobi",
@@ -55,7 +50,6 @@ PUBLIC_NAMES = [
     "lucas_step_check",
     "omega_order",
     "order_class_decomposition",
-    "pair_mul",
     "partition",
     "partition_sums",
     "prime_iff_power_check",

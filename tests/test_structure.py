@@ -1,5 +1,6 @@
 """Order structure: partition goldens at p=23, polynomial identities, shifts."""
 
+import dataclasses
 import json
 import math
 import random
@@ -14,7 +15,6 @@ from chebring.modarith import cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
 from chebring.structure import (
     IntPolynomial,
-    ResidueDomain,
     character_transport_check,
     chebyshev_t_int,
     cyclotomic,
@@ -48,16 +48,6 @@ ORDER_CLASSES_23 = {
 }
 
 
-def test_residue_domain():
-    dom = ResidueDomain(7)
-    assert dom.elements == (0, 2, 3, 4, 5)
-    assert len(dom) == 5
-    assert 0 in dom and 2 in dom
-    assert 1 not in dom and 6 not in dom and 7 not in dom
-    with pytest.raises(ValueError):
-        ResidueDomain(9)
-
-
 def test_partition_golden():
     table = partition(23)
     assert table.sets == PARTITION_23
@@ -75,6 +65,17 @@ def test_partition_orders_golden():
     for d, members in ORDER_CLASSES_23.items():
         for a in members:
             assert table.orders[a] == d
+
+
+def test_partition_orders_on_demand():
+    """The cells carry no orders; the orders property finds each once and
+    agrees with omega_order on all of R_p."""
+    assert [f.name for f in dataclasses.fields(structure.PartitionTable)] == ["p", "sets"]
+    for p in primes_in(3, 300):
+        table = partition(p)
+        assert "orders" not in vars(table)
+        assert table.orders == {a: omega_order(a, p) for a in (0, *range(2, p - 1))}
+        assert table.orders is table.orders
 
 
 def test_partition_serialization():
@@ -97,16 +98,19 @@ def test_partition_sweep_consistent():
 
 
 def test_partition_checks_its_prime_once(monkeypatch):
-    """One primality check per partition, not one per residue; the order of
-    each residue still comes from cheb_t as structure binds it."""
+    """One primality check per partition, not one per residue; the cells
+    cost one cheb_t per residue, and the orders, found only when read, still
+    come from cheb_t as structure binds it."""
     primality_calls, ladder_calls = [], []
     real_is_prime, real_cheb_t = structure.is_prime, structure.cheb_t
     monkeypatch.setattr(structure, "is_prime", lambda n: primality_calls.append(n) or real_is_prime(n))
     monkeypatch.setattr(structure, "cheb_t", lambda *args: ladder_calls.append(args) or real_cheb_t(*args))
     table = partition(1009)
+    assert len(ladder_calls) == 1007
+    orders = table.orders
     assert primality_calls == [1009]
     assert len(ladder_calls) > 1007
-    assert table.orders[0] == 4
+    assert orders[0] == 4
 
 
 def test_omega_order_golden():
