@@ -15,13 +15,9 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .primes import is_prime
-from .structure import IntPolynomial, chebyshev_t_int
+from .structure import IntPolynomial, ResourceLimitError, chebyshev_t_int
 
 DEGREE_CAP = 10_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Construction would exceed the configured dense-polynomial cap."""
 
 
 def _check_cap(n: int) -> None:

@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .modarith import _ladder_tu, _lucas_v, cheb_t, jacobi
+from .modarith import _ladder_tu, _lucas_v, _pair_pow_vec, cheb_t, jacobi
 from .primes import is_prime, primes_in
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
@@ -103,20 +103,6 @@ def _pow_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
         if e:
             b = b * b % m
     return r
-
-
-def _pair_pow_vec(a: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair powering: lanes of (T_n(a), U_{n-1}(a)) mod m."""
-    d = (a * a - 1) % m
-    t, u = np.ones_like(a), np.zeros_like(a)
-    st, su = a % m, np.ones_like(a)
-    while n:
-        if n & 1:
-            t, u = (t * st % m + (d * u % m) * su) % m, (t * su % m + st * u % m) % m
-        n >>= 1
-        if n:
-            st, su = (st * st % m + (d * su % m) * su) % m, 2 * st * su % m
-    return t, u
 
 
 def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:

@@ -13,13 +13,15 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 
 and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
-two consecutive V terms.  Everything here is exact integer arithmetic on
-canonical residues in [0, m).
+two consecutive V terms; _pair_pow_vec runs the pair ladder on int64 lanes
+(m < 2^31).  All of it is exact integer arithmetic on canonical residues in [0, m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,20 @@ def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:
     v0, v1 = _lucas_v(a, n, m)
     t = v0 >> 1
     u = ((v1 - a * v0) % (2 * m) >> 1) * pow(a * a - 1, -1, m) % m
+    return t, u
+
+
+def _pair_pow_vec(a: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized pair powering: lanes of (T_n(a), U_{n-1}(a)) mod m."""
+    d = (a * a - 1) % m
+    t, u = np.ones_like(a), np.zeros_like(a)
+    st, su = a % m, np.ones_like(a)
+    while n:
+        if n & 1:
+            t, u = (t * st % m + (d * u % m) * su) % m, (t * su % m + st * u % m) % m
+        n >>= 1
+        if n:
+            st, su = (st * st % m + (d * su % m) * su) % m, 2 * st * su % m
     return t, u
 
 

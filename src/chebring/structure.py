@@ -16,10 +16,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modarith import cheb_t, jacobi
+from .modarith import _pair_pow_vec, cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = ("++", "+-", "-+", "--")
+TABLE_CAP = 1 << 18  # largest p for per-prime tables: there the orders take about 6 s, the rest 1 s
+
+
+class ResourceLimitError(RuntimeError):
+    """An input exceeds one of the package's size caps."""
 
 
 def _cell(eps: int, delta: int) -> str:
@@ -29,6 +34,17 @@ def _cell(eps: int, delta: int) -> str:
 def _check_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """chi[x] = (x/p) for every x in [0, p), read off the squares."""
+    _check_odd_prime(p)
+    if p > TABLE_CAP:
+        raise ResourceLimitError(f"prime {p} exceeds the table cap of {TABLE_CAP}")
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    return chi
 
 
 @dataclass(frozen=True)
@@ -302,24 +318,21 @@ def _order(a: int, p: int, eps: int) -> int:
 def partition(p: int) -> PartitionTable:
     """The four cells of R_p, computed two independent ways.
 
-    Route one reads the characters (eps, delta) directly; route two
-    evaluates T_{(p-eps)/2}(a) mod p, which lands on delta for a prime
-    modulus.  The routes must agree cell by cell.
+    Route one reads the characters (eps, delta) from the Legendre table;
+    route two takes T_{(p-eps)/2}(a) mod p on vector lanes (the pair ladder
+    to (p-1)/2, times omega_a where eps = -1), which must land on delta.
     """
-    _check_odd_prime(p)
-    by_char: dict[str, list[int]] = {key: [] for key in CELLS}
-    by_cheb: dict[str, list[int]] = {key: [] for key in CELLS}
-    for a in (0, *range(2, p - 1)):
-        eps = jacobi(a * a - 1, p)
-        delta = jacobi(2 * (a + 1), p)
-        by_char[_cell(eps, delta)].append(a)
-        t = cheb_t(a, (p - eps) // 2, p)
-        if t != 1 and t != p - 1:
-            raise ArithmeticError(f"T_((p-eps)/2)({a}) = {t} is not +-1 mod {p}")
-        by_cheb[_cell(eps, 1 if t == 1 else -1)].append(a)
-    if by_char != by_cheb:
-        raise ArithmeticError(f"character and Chebyshev partitions disagree at p={p}")
-    return PartitionTable(p, {key: tuple(val) for key, val in by_char.items()})
+    chi = _legendre_table(p)
+    a = np.array((0, *range(2, p - 1)), dtype=np.int64)
+    d = (a * a - 1) % p
+    eps, delta = chi[d], chi[2 * (a + 1) % p]
+    t, u = _pair_pow_vec(a, (p - 1) // 2, p)
+    t = np.where(eps == 1, t, (t * a + d * u) % p)
+    bad = a[t != delta % p]
+    if bad.size:
+        raise ArithmeticError(f"T_((p-eps)/2)({bad[0]}) is not delta mod {p}: the two routes disagree")
+    cell = 2 * (eps < 0) + (delta < 0)  # index into CELLS
+    return PartitionTable(p, {key: tuple(a[cell == i].tolist()) for i, key in enumerate(CELLS)})
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:

@@ -230,6 +230,10 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, ["aks-check", "-n", "20000"])
     assert code == 1
     assert "cap" in err
+    for argv in (["partition", "-p", "1000000007"], ["expsum", "-p", "1000003"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: prime {argv[-1]} exceeds the table cap of 262144\n"
     code, _, err = run(capsys, ["dh-demo", "-p", "15", "-g", "2"])
     assert code == 1
     for flag in ([], ["--mod-p2"]):  # 4 is not +-1 mod 15, but 4^2 - 1 = 15

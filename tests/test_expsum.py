@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from chebring.expsum import (
 )
 from chebring.modarith import jacobi
 from chebring.primes import primes_in
-from chebring.structure import partition
+from chebring.structure import TABLE_CAP, ResourceLimitError, partition
 
 
 def test_epsilon_p():
@@ -108,3 +109,14 @@ def test_domain_validation():
                 fn(bad)
     with pytest.raises(ValueError):
         difference_lemma_check(3)
+
+
+def test_table_cap_domain():
+    """Above the cap the sums refuse at once; just below it they still hold."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"cap of {TABLE_CAP}"):
+        gauss_sums(1_000_003)
+    assert time.perf_counter() - start < 1.0
+    p = max(primes_in(TABLE_CAP - 100, TABLE_CAP))
+    assert difference_lemma_check(p)
+    assert conjugacy_check(p)

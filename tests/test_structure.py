@@ -4,13 +4,14 @@ import dataclasses
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 import sympy
 from sympy.abc import x
 
-from chebring import structure
+from chebring import ResourceLimitError, structure
 from chebring.modarith import cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
 from chebring.structure import (
@@ -99,18 +100,58 @@ def test_partition_sweep_consistent():
 
 def test_partition_checks_its_prime_once(monkeypatch):
     """One primality check per partition, not one per residue; the cells
-    cost one cheb_t per residue, and the orders, found only when read, still
-    come from cheb_t as structure binds it."""
+    run on vector lanes with no scalar cheb_t call, and the orders, found
+    only when read, still come from cheb_t as structure binds it."""
     primality_calls, ladder_calls = [], []
     real_is_prime, real_cheb_t = structure.is_prime, structure.cheb_t
     monkeypatch.setattr(structure, "is_prime", lambda n: primality_calls.append(n) or real_is_prime(n))
     monkeypatch.setattr(structure, "cheb_t", lambda *args: ladder_calls.append(args) or real_cheb_t(*args))
     table = partition(1009)
-    assert len(ladder_calls) == 1007
+    assert len(ladder_calls) == 0
     orders = table.orders
     assert primality_calls == [1009]
-    assert len(ladder_calls) > 1007
+    assert len(ladder_calls) > 0
     assert orders[0] == 4
+
+
+def test_legendre_table_matches_jacobi():
+    for p in primes_in(3, 1000):
+        assert structure._legendre_table(p).tolist() == [jacobi(x, p) for x in range(p)]
+
+
+def test_partition_matches_scalar_characters():
+    for p in primes_in(3, 300):
+        cells = {key: [] for key in structure.CELLS}
+        for a in (0, *range(2, p - 1)):
+            eps, delta = jacobi(a * a - 1, p), jacobi(2 * (a + 1), p)
+            cells[("+" if eps == 1 else "-") + ("+" if delta == 1 else "-")].append(a)
+        assert partition(p).sets == {key: tuple(val) for key, val in cells.items()}
+
+
+@pytest.mark.parametrize("bad", [5, 19])  # cells ++ and -- at p = 23: eps = +1 and eps = -1
+def test_partition_second_route_is_live(monkeypatch, bad):
+    """Corrupting one lane of the vector ladder breaks partition at that residue."""
+    real = structure._pair_pow_vec
+
+    def corrupted(a, n, m):
+        t, u = real(a, n, m)
+        t[a == bad] = (t[a == bad] + 1) % m
+        return t, u
+
+    monkeypatch.setattr(structure, "_pair_pow_vec", corrupted)
+    with pytest.raises(ArithmeticError, match=rf"^T_\(\(p-eps\)/2\)\({bad}\) is not delta mod 23"):
+        partition(23)
+
+
+def test_table_cap():
+    """Tables stop at TABLE_CAP with a typed error raised before any allocation."""
+    below = max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))
+    assert structure._legendre_table(below).shape == (below,)
+    for p in (min(primes_in(structure.TABLE_CAP, structure.TABLE_CAP + 100)), 1_000_000_007, 2_147_483_659):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"prime {p} exceeds the table cap of {structure.TABLE_CAP}"):
+            partition(p)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_omega_order_golden():
