@@ -27,8 +27,6 @@ def _check_cap(n: int) -> None:
 
 def chebyshev_poly_mod(n: int, modulus: int | None = None) -> IntPolynomial:
     """T_n(x) with coefficients reduced mod the modulus (exact if None)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
     _check_cap(n)
     return chebyshev_t_int(n, modulus=modulus)
 

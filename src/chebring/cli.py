@@ -19,8 +19,6 @@ from . import aks, criteria, crypto, expsum, structure
 from .modarith import cheb_eval
 from .primes import primes_in
 
-CELL_ORDER = ("++", "+-", "-+", "--")
-
 
 def _emit(args, records: list[dict], table_lines: list[str]) -> None:
     if args.format == "table":
@@ -92,7 +90,7 @@ def _cmd_partition(args) -> None:
         _emit(args, recs, [])
         return
     lines = [f"p={args.p}"]
-    for cell in CELL_ORDER:
+    for cell in structure.CELLS:
         members = " ".join(str(a) for a in sorted(table.sets[cell]))
         lines.append(f"A{cell}: {members}")
     _emit(args, [], lines)
@@ -160,13 +158,13 @@ def _cmd_expsum(args) -> None:
     report = expsum.partition_sums(args.p)
     rec = {
         "p": report.p,
-        "g": {cell: [report.g[cell].real, report.g[cell].imag] for cell in CELL_ORDER},
+        "g": {cell: [report.g[cell].real, report.g[cell].imag] for cell in structure.CELLS},
         "S": [report.S.real, report.S.imag],
         "bound": report.bound,
         "max_ratio": report.max_ratio,
     }
     lines = [f"p={report.p} bound={report.bound:.6f} max_ratio={report.max_ratio:.6f}"]
-    for cell in CELL_ORDER:
+    for cell in structure.CELLS:
         z = report.g[cell]
         lines.append(f"g{cell} = {_fmt_complex(z)} |g|={abs(z):.6f}")
     lines.append(f"S = {_fmt_complex(report.S)} |S|={abs(report.S):.6f}")
@@ -178,7 +176,7 @@ def _cmd_expsum(args) -> None:
 
 def _sweep_record(report) -> dict:
     rec = {"p": report.p}
-    for cell in CELL_ORDER:
+    for cell in structure.CELLS:
         rec[f"|g{cell}|"] = f"{abs(report.g[cell]):.6f}"
     rec["|S|"] = f"{abs(report.S):.6f}"
     rec["bound"] = f"{report.bound:.6f}"

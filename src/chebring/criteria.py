@@ -74,6 +74,23 @@ def _nondegenerate_characters(a: int, p: int) -> CharPair:
     return ch
 
 
+def _euler_criterion(a: int, n: int, eps: int, delta: int) -> tuple[bool, list[int]]:
+    """Whether T_k(a) = delta and U_{k-1}(a) = 0 mod n for k = (n-eps)/2, and
+    the profile [T_q, T_2q, ..., T_k] mod n, where k = 2^s q with q odd.
+
+    a^2 - 1 must be a unit mod n.  One ladder reaches q; each of the s
+    doublings is T_{2j} = 2T_j^2 - 1 and U_{2j-1} = 2T_j U_{j-1}.
+    """
+    k = (n - eps) // 2
+    s = (k & -k).bit_length() - 1
+    t, u = _ladder_tu(a % n, k >> s, n)
+    profile = [t]
+    for _ in range(s):
+        t, u = (2 * t * t - 1) % n, 2 * t * u % n
+        profile.append(t)
+    return t == delta % n and u == 0, profile
+
+
 def euler_test(a: int, p: int) -> bool:
     """T_{(p-eps)/2}(a) = delta and U_{(p-eps)/2-1}(a) = 0 mod p.
 
@@ -81,16 +98,14 @@ def euler_test(a: int, p: int) -> bool:
     through is by definition a pseudoprime to the base a.
     """
     ch = _nondegenerate_characters(a, p)
-    t, u = _ladder_tu(a % p, (p - ch.eps) // 2, p)
-    return t == ch.delta % p and u == 0
+    return _euler_criterion(a, p, ch.eps, ch.delta)[0]
 
 
 def euler_test_modp2(a: int, p: int) -> bool:
     """The sharper T_{(p-eps)/2}(a) = delta congruence taken mod p^2."""
     ch = _nondegenerate_characters(a, p)
     m = p * p
-    t, _ = _ladder_tu(a % m, (p - ch.eps) // 2, m)
-    return t == ch.delta % m
+    return cheb_t(a, (p - ch.eps) // 2, m) == ch.delta % m
 
 
 def _pow_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -118,7 +133,9 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     m = p * p if squared else p
     if m >= 1 << 31:
         raise ValueError("modulus too large for the vectorized int64 path")
-    a = np.array([x for x in range(p) if x not in (1, p - 1)], dtype=np.int64)
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"characters need an odd modulus >= 3, got {p}")
+    a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     half = (p - 1) // 2
     eps = np.where(_pow_vec((a * a - 1) % p, half, p) == 1, 1, -1)
     delta = np.where(_pow_vec(2 * (a + 1) % p, half, p) == 1, 1, -1)
@@ -160,6 +177,7 @@ def _split_range(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(worker, jobs: list, threads: int | None) -> list:
+    """[worker(job) for job in jobs], in job order, on a pool when threads allow."""
     n = _worker_count(threads)
     if n <= 1 or len(jobs) <= 1:
         return [worker(job) for job in jobs]
@@ -167,7 +185,7 @@ def _run_chunks(worker, jobs: list, threads: int | None) -> list:
         return list(pool.map(worker, jobs))
 
 
-def _wieferich_chunk(job: tuple[int, int, int]) -> list[tuple[int, int]]:
+def _wieferich_chunk(job: tuple[int, int, int]) -> list[WieferichHit]:
     base, lo, hi = job
     hits = []
     for p in primes_in(lo, hi):
@@ -183,7 +201,7 @@ def _wieferich_chunk(job: tuple[int, int, int]) -> list[tuple[int, int]]:
         a = base % m
         v0, v1 = _lucas_v(a, (p - eps) // 2, m)
         if (v1 - a * v0) % (2 * m) == 0:
-            hits.append((p, base))
+            hits.append(WieferichHit(p, base))
     return hits
 
 
@@ -200,8 +218,7 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     if limit < 3:
         raise ValueError("limit must be >= 3")
     jobs = [(base, lo, hi) for lo, hi in _split_range(3, limit + 1, max(1, (limit + 1) // 200_000))]
-    found = [hit for chunk in _run_chunks(_wieferich_chunk, jobs, threads) for hit in chunk]
-    return [WieferichHit(p, b) for p, b in sorted(found)]
+    return [hit for chunk in _run_chunks(_wieferich_chunk, jobs, threads) for hit in chunk]
 
 
 def weak_pseudoprime_test(n: int, base: int) -> bool:
@@ -220,8 +237,7 @@ def full_pseudoprime_test(n: int, base: int) -> PseudoprimeVerdict:
         raise ValueError(f"base {base} shares a factor of {n} with base^2 - 1")
     eps = jacobi(base * base - 1, n)
     delta = jacobi(2 * (base + 1), n)
-    t, u = _ladder_tu(base % n, (n - eps) // 2, n)
-    return PseudoprimeVerdict(n, base, "full", t == delta % n and u == 0)
+    return PseudoprimeVerdict(n, base, "full", _euler_criterion(base, n, eps, delta)[0])
 
 
 def _signed(v: int, n: int) -> int:
@@ -244,20 +260,7 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
         raise ValueError(f"base {base} shares a factor of {n} with base^2 - 1")
     eps = jacobi(base * base - 1, n)
     delta = jacobi(2 * (base + 1), n)
-    half = (n - eps) // 2
-    q1 = half
-    t2 = 0
-    while q1 % 2 == 0:
-        q1 //= 2
-        t2 += 1
-    a = base % n
-    d = (a * a - 1) % n
-    t, u = _ladder_tu(a, q1, n)
-    profile = [t]
-    for _ in range(t2):
-        t, u = (t * t + d * u * u) % n, 2 * t * u % n
-        profile.append(t)
-    endpoint_ok = t == delta % n and u == 0
+    endpoint_ok, profile = _euler_criterion(base, n, eps, delta)
     signed = [_signed(v, n) for v in profile]
     violation = any(
         (signed[i] == 1 and signed[i - 1] not in (1, -1)) or (signed[i] == -1 and signed[i - 1] != 0)
@@ -266,7 +269,7 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
     return PseudoprimeVerdict(n, base, "strong", endpoint_ok and not violation, tuple(signed))
 
 
-def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[tuple[int, int, str, bool, tuple[int, ...]]]:
+def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[PseudoprimeVerdict]:
     base, lo, hi, kind = job
     out = []
     start = lo if lo % 2 else lo + 1
@@ -275,7 +278,7 @@ def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[tuple[int, int, s
             continue
         if kind == "weak":
             if weak_pseudoprime_test(n, base):
-                out.append((n, base, kind, True, ()))
+                out.append(PseudoprimeVerdict(n, base, kind, True))
             continue
         if gcd(base * base - 1, n) > 1:
             continue
@@ -284,7 +287,7 @@ def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[tuple[int, int, s
         else:
             v = strong_profile(n, base)
         if v.passed:
-            out.append((v.n, v.base, v.kind, v.passed, v.profile))
+            out.append(v)
     return out
 
 
@@ -301,8 +304,7 @@ def pseudoprime_search(
     if limit < 9:
         return []
     jobs = [(base, lo, hi, kind) for lo, hi in _split_range(9, limit + 1, max(1, (limit + 1) // 20_000))]
-    rows = [r for chunk in _run_chunks(_pseudoprime_chunk, jobs, threads) for r in chunk]
-    return [PseudoprimeVerdict(*row) for row in sorted(rows)]
+    return [v for chunk in _run_chunks(_pseudoprime_chunk, jobs, threads) for v in chunk]
 
 
 def lucas_lehmer(p: int) -> bool:

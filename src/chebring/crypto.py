@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .modarith import cheb_t
-from .primes import is_prime, primes_in
-from .structure import omega_order
+from .primes import primes_in
+from .structure import _check_odd_prime, omega_order
 
 
 class ProtocolError(Exception):
@@ -90,8 +90,7 @@ def dh_keygen(p: int, g: int, secret: int) -> DhParty:
     The base g should have large omega-order; omega_order and
     primitive_root_search are the vetting helpers.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime, got {p}")
+    _check_odd_prime(p)
     g %= p
     if g == 1 or g == p - 1:
         raise ValueError(f"base {g} is a fixed point mod {p}")
@@ -114,8 +113,7 @@ def discrete_log_bruteforce(p: int, g: int, target: int) -> int | None:
     Forward three-term recurrence: one mulmod per step, ord_p(omega_g)
     steps in the worst case.  Desk scale only.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime, got {p}")
+    _check_odd_prime(p)
     g %= p
     if g == 1 or g == p - 1:
         raise ValueError(f"base {g} is a fixed point mod {p}")

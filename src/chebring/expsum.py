@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .modarith import jacobi
-from .structure import CELLS, _legendre_table, partition
+from .structure import CELLS, _cell, _legendre_table, partition
 
 TOLERANCE = 1e-9
 
@@ -128,10 +128,8 @@ def partition_sums(p: int) -> ExpSumReport:
     if abs(s) > 2 * math.sqrt(p) + TOLERANCE:
         raise ArithmeticError(f"Weil bound violated at p={p}")
     g: dict[str, complex] = {}
-    for cell in CELLS:
+    for cell, (eps, delta) in CELLS.items():
         direct = sum(zp[a] for a in table.sets[cell])
-        eps = 1 if cell[0] == "+" else -1
-        delta = 1 if cell[1] == "+" else -1
         trick = _trick_value(p, eps, delta, s, zp)
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")
@@ -170,8 +168,7 @@ def conjugacy_check(p: int) -> bool:
     if p < 5:
         raise ValueError(f"conjugacy check needs p >= 5, got {p}")
     g = partition_sums(p).g
-    real_eps = "+" if jacobi(-1, p) == 1 else "-"
-    other = "-" if real_eps == "+" else "+"
-    real_ok = all(abs(g[real_eps + d].imag) < TOLERANCE for d in "+-")
-    conj_ok = _close(g[other + "+"], g[other + "-"].conjugate())
+    real_eps = jacobi(-1, p)
+    real_ok = all(abs(g[_cell(real_eps, delta)].imag) < TOLERANCE for delta in (1, -1))
+    conj_ok = _close(g[_cell(-real_eps, 1)], g[_cell(-real_eps, -1)].conjugate())
     return real_ok and conj_ok

@@ -116,6 +116,8 @@ def cheb_eval(a: int, n: int, m: int) -> ChebPair:
 
 def cheb_t(a: int, n: int, m: int) -> int:
     """T_n(a) mod m."""
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
     return _lucas_v(a, n, m)[0] >> 1
 
 

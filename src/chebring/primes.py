@@ -56,15 +56,8 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit by Eratosthenes sieve."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
+    """All primes <= limit."""
+    return primes_in(2, limit + 1)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -72,9 +65,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    base = primes_upto(isqrt(hi - 1))
     flags = bytearray([1]) * (hi - lo)
-    for p in base:
+    for p in primes_in(2, isqrt(hi - 1) + 1):
         start = max(p * p, (lo + p - 1) // p * p)
         flags[start - lo : hi - lo : p] = bytearray(len(range(start, hi, p)))
     return [lo + i for i, f in enumerate(flags) if f]

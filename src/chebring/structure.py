@@ -19,7 +19,7 @@ import numpy as np
 from .modarith import _pair_pow_vec, cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
-CELLS = ("++", "+-", "-+", "--")
+CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
 TABLE_CAP = 1 << 18  # largest p for per-prime tables: there the orders take about 6 s, the rest 1 s
 
 
@@ -56,11 +56,8 @@ class PartitionTable:
 
     @cached_property
     def orders(self) -> dict[int, int]:
-        """The omega-order of each element, found on first use: eps is the
-        first sign of the element's cell."""
-        return {
-            a: _order(a, self.p, 1 if key[0] == "+" else -1) for key, cell in self.sets.items() for a in cell
-        }
+        """The omega-order of each element, found on first use."""
+        return {a: _order(a, self.p, CELLS[key][0]) for key, cell in self.sets.items() for a in cell}
 
     def cell_of(self, a: int) -> str:
         for key, members in self.sets.items():
@@ -78,12 +75,9 @@ class PartitionTable:
         )
 
     def csv_rows(self) -> list[tuple[int, int, int, int]]:
-        rows = []
-        for key in CELLS:
-            eps = 1 if key[0] == "+" else -1
-            delta = 1 if key[1] == "+" else -1
-            rows.extend((a, eps, delta, self.orders[a]) for a in self.sets[key])
-        return sorted(rows)
+        return sorted(
+            (a, eps, delta, self.orders[a]) for key, (eps, delta) in CELLS.items() for a in self.sets[key]
+        )
 
 
 @dataclass(frozen=True)
@@ -116,12 +110,7 @@ class IntPolynomial:
         a, b = self.coefficients, other.coefficients
         if not a or not b:
             return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPolynomial.of(out)
+        return IntPolynomial.of(np.convolve(np.array(a, dtype=object), np.array(b, dtype=object)).tolist())
 
     def scale_arg(self, c: int) -> "IntPolynomial":
         """The polynomial x -> self(c*x)."""
@@ -323,7 +312,7 @@ def partition(p: int) -> PartitionTable:
     to (p-1)/2, times omega_a where eps = -1), which must land on delta.
     """
     chi = _legendre_table(p)
-    a = np.array((0, *range(2, p - 1)), dtype=np.int64)
+    a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     d = (a * a - 1) % p
     eps, delta = chi[d], chi[2 * (a + 1) % p]
     t, u = _pair_pow_vec(a, (p - 1) // 2, p)

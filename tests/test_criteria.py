@@ -1,6 +1,7 @@
 """Criterion tests: goldens for the searches, property sweeps for primes."""
 
 import random
+import time
 from math import gcd
 
 import pytest
@@ -19,7 +20,7 @@ from chebring.criteria import (
     weak_pseudoprime_test,
     wieferich_search,
 )
-from chebring.modarith import _ladder_tu, jacobi
+from chebring.modarith import _ladder_tu, cheb_eval, jacobi
 from chebring.primes import primes_in, primes_upto
 
 BASE2_FULL_PSEUDOPRIMES = [989, 2701, 10609, 11041, 15505, 18721, 18817]
@@ -80,8 +81,18 @@ def test_criterion_failures_flag_a_composite():
 
 
 def test_criterion_failures_modulus_cap():
-    with pytest.raises(ValueError):
-        euler_criterion_failures(70_000, squared=True)
+    for p in (70_000, 46_341):  # 46_341 is the least p with p^2 >= 2^31
+        with pytest.raises(ValueError, match="too large"):
+            euler_criterion_failures(p, squared=True)
+
+
+def test_criterion_failures_reject_bad_modulus():
+    # p <= 0 would give the vector power a negative exponent, which never shrinks to 0
+    for p in (0, -5, 1, 2, 4):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"odd modulus >= 3, got {p}$"):
+            euler_criterion_failures(p)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_weak_search_golden():
@@ -124,6 +135,41 @@ def test_strong_profile_clean_on_primes():
             continue
         v = strong_profile(p, base)
         assert v.passed, (p, base, v.profile)
+
+
+def _reference_criterion(n: int, base: int) -> tuple[bool, list[int]]:
+    """The endpoint verdict and doubling profile of the Euler criterion mod n:
+    cheb_eval up to the odd part of (n-eps)/2, then pair squaring
+    (t, u) -> (t^2 + d u^2, 2tu) with d = base^2 - 1."""
+    eps, delta = jacobi(base * base - 1, n), jacobi(2 * (base + 1), n)
+    k, doublings = (n - eps) // 2, 0
+    while k % 2 == 0:
+        k, doublings = k // 2, doublings + 1
+    t, u = cheb_eval(base, k, n).as_tuple()
+    d = (base * base - 1) % n
+    profile = [t]
+    for _ in range(doublings):
+        t, u = (t * t + d * u * u) % n, 2 * t * u % n
+        profile.append(t)
+    return t == delta % n and u == 0, profile
+
+
+def test_criterion_tests_match_reference():
+    for n in range(9, 3000, 2):
+        for base in (2, 3, 5, 7, 10):
+            if gcd(base * base - 1, n) > 1:
+                continue
+            endpoint_ok, profile = _reference_criterion(n, base)
+            signed = tuple(-1 if v == n - 1 else v for v in profile)
+            # over a prime, 1 follows only +-1 and -1 follows only 0
+            violation = any(
+                (cur == 1 and prev not in (1, -1)) or (cur == -1 and prev != 0)
+                for prev, cur in zip(signed, signed[1:])
+            )
+            assert full_pseudoprime_test(n, base).passed == endpoint_ok, (n, base)
+            strong = strong_profile(n, base)
+            assert strong.profile == signed, (n, base)
+            assert strong.passed == (endpoint_ok and not violation), (n, base)
 
 
 def test_pseudoprime_validation():

@@ -235,6 +235,9 @@ def test_eval_argument_errors():
         cheb_eval(5, 3, 1)
     with pytest.raises(ValueError):
         cheb_t(5, -1, 23)
+    for m in (1, 0, -7):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {m}$"):
+            cheb_t(5, 3, m)
     with pytest.raises(ValueError):
         TransferMatrix(5, 23).pow(-1)
     with pytest.raises(ValueError):

@@ -350,6 +350,32 @@ def test_shift_refinement_sweep():
             assert rebuilt == {(v + shift) % p for v in base}
 
 
+def test_cells_map_keys_to_signs():
+    assert list(structure.CELLS) == ["++", "+-", "-+", "--"]  # partition's cell index order
+    for key, (eps, delta) in structure.CELLS.items():
+        assert structure._cell(eps, delta) == key
+
+
+def test_intpolynomial_product_matches_schoolbook():
+    rng = random.Random(7)
+
+    def schoolbook(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return IntPolynomial.of(out)
+
+    def random_poly():  # negative and wider-than-64-bit coefficients
+        return IntPolynomial.of(rng.randint(-(1 << 80), 1 << 80) for _ in range(rng.randint(1, 12)))
+
+    zero = IntPolynomial.of([])
+    for _ in range(200):
+        f, g = random_poly(), random_poly()
+        assert f * g == schoolbook(f.coefficients, g.coefficients)
+        assert f * zero == zero * f == zero
+
+
 def test_intpolynomial_arithmetic():
     f = IntPolynomial.of([1, 2])  # 1 + 2x
     g = IntPolynomial.of([0, 0, 3])  # 3x^2
