@@ -9,6 +9,11 @@ nonzero, writing delta = ((2(a+1))/p),
 and the first T-congruence even holds mod p^2.  Composites that slip through
 the mod-n version of the test are the pseudoprimes hunted here; primes where
 the U-congruence also lifts to mod p^2 are the Wieferich-style exceptions.
+
+The single-n tests run the scalar ladder.  The two searches test every
+candidate of a chunk at once on int64 numpy lanes (modarith's lane helpers),
+so their limits stay below SEARCH_CAP = 2^31; the scalar tests are their
+oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -20,10 +25,22 @@ from math import gcd
 
 import numpy as np
 
-from .modarith import _ladder_tu, _lucas_v, _pair_pow_vec, cheb_t, jacobi
-from .primes import is_prime, primes_in
+from .modarith import (
+    _jacobi_vec,
+    _ladder_tu,
+    _mulmod_p2,
+    _pair_pow_vec,
+    _pow_vec,
+    _residues,
+    _t_ladder_vec,
+    cheb_t,
+    jacobi,
+)
+from .primes import _sieve_flags, is_prime
+from .structure import ResourceLimitError
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
+SEARCH_CAP = 1 << 31  # search limits stay below it: every lane modulus fits the int64 kernels
 
 
 @dataclass(frozen=True)
@@ -108,18 +125,6 @@ def euler_test_modp2(a: int, p: int) -> bool:
     return cheb_t(a, (p - ch.eps) // 2, m) == ch.delta % m
 
 
-def _pow_vec(base: np.ndarray, e: int, m: int) -> np.ndarray:
-    r = np.ones_like(base)
-    b = base % m
-    while e:
-        if e & 1:
-            r = r * b % m
-        e >>= 1
-        if e:
-            b = b * b % m
-    return r
-
-
 def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     """Residues a in R_p violating the prime congruences; [] for primes.
 
@@ -165,6 +170,11 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
 # --- searches ---------------------------------------------------------------
 
 
+def _check_search_cap(limit: int) -> None:
+    if limit >= SEARCH_CAP:
+        raise ResourceLimitError(f"limit {limit} exceeds the search cap of {SEARCH_CAP - 1} (int64 lanes)")
+
+
 def _worker_count(threads: int | None) -> int:
     if threads is None:
         threads = os.cpu_count() or 1
@@ -187,22 +197,20 @@ def _run_chunks(worker, jobs: list, threads: int | None) -> list:
 
 def _wieferich_chunk(job: tuple[int, int, int]) -> list[WieferichHit]:
     base, lo, hi = job
-    hits = []
-    for p in primes_in(lo, hi):
-        if p == 2 or base % p == 0:
-            continue
-        eps = jacobi(base * base - 1, p)
-        if eps == 0:
-            continue
-        # With n = (p-eps)/2, V_{n+1} - a V_n = 2(a^2-1) U_{n-1} and a^2 - 1 is a
-        # unit mod p^2, so U_{n-1} = 0 mod p^2 exactly when the left side
-        # vanishes mod 2p^2: no modular inverse needed.
-        m = p * p
-        a = base % m
-        v0, v1 = _lucas_v(a, (p - eps) // 2, m)
-        if (v1 - a * v0) % (2 * m) == 0:
-            hits.append(WieferichHit(p, base))
-    return hits
+    p = np.flatnonzero(_sieve_flags(lo, hi)) + lo
+    a = _residues(base, p)
+    live = (a > 1) & (a < p - 1)  # eps = 0 exactly when base = +-1 mod p
+    p, a = p[live], a[live]
+    if not p.size:
+        return []
+    eps = np.where(_pow_vec(a * a - 1, (p - 1) // 2, p) == 1, 1, -1)
+    # With n = (p-eps)/2, T_{n+1} - a T_n = (a^2-1) U_{n-1} and a^2 - 1 is a unit
+    # mod p^2, so U_{n-1} = 0 mod p^2 exactly when the left side vanishes.
+    m = p * p
+    a = _residues(base, m)
+    rows, t1 = _t_ladder_vec(a, (p - eps) // 2, m, p)
+    hit = t1 == _mulmod_p2(a, rows[-1], p)
+    return [WieferichHit(int(x), base) for x in p[hit]]
 
 
 def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) -> list[WieferichHit]:
@@ -212,11 +220,15 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     mod p to mod p^2; they play the role Wieferich primes play for Fermat's
     little theorem, and are about as scarce.  Scope: primes with the base
     not congruent to 0 or +-1, the residues where the criterion applies.
+    Each chunk of the range runs as int64 lanes, one prime per lane: eps by
+    Euler's criterion mod p, then the T-ladder mod p^2 on two limbs.  A limit
+    of SEARCH_CAP = 2^31 or more raises ResourceLimitError.
     """
     if base in (0, 1, -1):
         raise ValueError("base must not be 0 or +-1")
     if limit < 3:
         raise ValueError("limit must be >= 3")
+    _check_search_cap(limit)
     jobs = [(base, lo, hi) for lo, hi in _split_range(3, limit + 1, max(1, (limit + 1) // 200_000))]
     return [hit for chunk in _run_chunks(_wieferich_chunk, jobs, threads) for hit in chunk]
 
@@ -240,10 +252,6 @@ def full_pseudoprime_test(n: int, base: int) -> PseudoprimeVerdict:
     return PseudoprimeVerdict(n, base, "full", _euler_criterion(base, n, eps, delta)[0])
 
 
-def _signed(v: int, n: int) -> int:
-    return -1 if v == n - 1 else v
-
-
 def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
     """Doubling profile [T_Q1, T_2Q1, ..., T_{(n-eps)/2}] mod n, plus verdict.
 
@@ -260,8 +268,12 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
         raise ValueError(f"base {base} shares a factor of {n} with base^2 - 1")
     eps = jacobi(base * base - 1, n)
     delta = jacobi(2 * (base + 1), n)
-    endpoint_ok, profile = _euler_criterion(base, n, eps, delta)
-    signed = [_signed(v, n) for v in profile]
+    return _strong_verdict(n, base, *_euler_criterion(base, n, eps, delta))
+
+
+def _strong_verdict(n: int, base: int, endpoint_ok: bool, profile: list[int]) -> PseudoprimeVerdict:
+    """The strong verdict from the endpoint test and the profile mod n."""
+    signed = [-1 if v == n - 1 else v for v in profile]
     violation = any(
         (signed[i] == 1 and signed[i - 1] not in (1, -1)) or (signed[i] == -1 and signed[i - 1] != 0)
         for i in range(1, len(signed))
@@ -271,21 +283,33 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
 
 def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[PseudoprimeVerdict]:
     base, lo, hi, kind = job
+    n = np.flatnonzero(_sieve_flags(lo, hi) == 0) + lo
+    n = n[n & 1 == 1]  # the odd composites of the chunk
+    if not n.size:
+        return []
+    a = _residues(base, n)
+    if kind == "weak":
+        rows, _ = _t_ladder_vec(a, n, n)
+        return [PseudoprimeVerdict(int(x), base, kind, True) for x in n[rows[-1] == a]]
+    keep = np.gcd(a * a - 1, n) == 1
+    n, a = n[keep], a[keep]
+    if not n.size:
+        return []
+    eps = _jacobi_vec(a * a - 1, n)
+    delta = _jacobi_vec(2 * (a + 1), n)
+    # The ladder to k = (n-eps)/2 = 2^s q ends in s doublings T_2j = 2T_j^2 - 1,
+    # so its last s + 1 rows are the profile [T_q, ..., T_k].  U_{k-1} = 0 mod n
+    # exactly when T_{k+1} = a T_k, as a^2 - 1 is a unit mod n.
+    k = (n - eps) // 2
+    s = np.frexp(k & -k)[1] - 1
+    rows, t1 = _t_ladder_vec(a, k, n, keep=int(s.max()) + 1 if kind == "strong" else 1)
+    t = rows[-1]
+    passed = np.flatnonzero((t == delta % n) & (t1 == a * t % n))
+    if kind == "full":
+        return [PseudoprimeVerdict(int(n[i]), base, kind, True) for i in passed]
     out = []
-    start = lo if lo % 2 else lo + 1
-    for n in range(start, hi, 2):
-        if n < 9 or is_prime(n):
-            continue
-        if kind == "weak":
-            if weak_pseudoprime_test(n, base):
-                out.append(PseudoprimeVerdict(n, base, kind, True))
-            continue
-        if gcd(base * base - 1, n) > 1:
-            continue
-        if kind == "full":
-            v = full_pseudoprime_test(n, base)
-        else:
-            v = strong_profile(n, base)
+    for i in passed:
+        v = _strong_verdict(int(n[i]), base, True, rows[len(rows) - 1 - s[i] :, i].tolist())
         if v.passed:
             out.append(v)
     return out
@@ -296,11 +320,18 @@ def pseudoprime_search(
 ) -> list[PseudoprimeVerdict]:
     """All odd composites <= limit passing the chosen test, ascending.
 
-    Compositeness is labeled by deterministic Miller-Rabin; the searches
-    themselves never consult it for the verdict, only for the scan filter.
+    Each chunk of the range runs as int64 lanes, one candidate n per lane:
+    composites are the zeros of the sieve, the full and strong kinds drop n
+    sharing a factor with base^2 - 1 (weak keeps them), eps and delta are lane
+    Jacobi symbols, and one T-ladder mod n gives the endpoint and the doubling
+    profile.  Verdicts are built only for the candidates that pass; they match
+    the single-n tests weak_pseudoprime_test, full_pseudoprime_test and
+    strong_profile.  A limit of SEARCH_CAP = 2^31 or more raises
+    ResourceLimitError.
     """
     if kind not in PSEUDOPRIME_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")
+    _check_search_cap(limit)
     if limit < 9:
         return []
     jobs = [(base, lo, hi, kind) for lo, hi in _split_range(9, limit + 1, max(1, (limit + 1) // 20_000))]

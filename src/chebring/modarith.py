@@ -13,8 +13,11 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 
 and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
-two consecutive V terms; _pair_pow_vec runs the pair ladder on int64 lanes
-(m < 2^31).  All of it is exact integer arithmetic on canonical residues in [0, m).
+two consecutive V terms.  The lane helpers run on int64 numpy lanes, one
+candidate per lane: _pair_pow_vec (the pair ladder, one exponent), _pow_vec
+(modpow), _jacobi_vec (Jacobi symbols) and _t_ladder_vec (the T-ladder),
+the last three with per-lane exponents and moduli below 2^31, or mod p^2 on
+two limbs.  All of it is exact integer arithmetic on canonical residues in [0, m).
 """
 
 from __future__ import annotations
@@ -90,6 +93,93 @@ def _pair_pow_vec(a: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray
         if n:
             st, su = (st * st % m + (d * su % m) * su) % m, 2 * st * su % m
     return t, u
+
+
+def _residues(x: int, m: np.ndarray) -> np.ndarray:
+    """x mod each lane of m, for a Python int x of any size."""
+    if -(1 << 62) <= x < 1 << 62:
+        return np.int64(x) % m
+    return np.array([x % int(v) for v in m], dtype=np.int64)
+
+
+def _pow_vec(base: np.ndarray, e, m) -> np.ndarray:
+    """base^e mod m on int64 lanes; the exponents e >= 0 and the moduli
+    2 <= m < 2^31 are ints or arrays with one entry per lane of base.  Right
+    to left over the bits of e, so lanes with shorter exponents just stop
+    picking up factors; an int exponent needs no per-lane select."""
+    b = base % m
+    r = np.ones_like(b)
+    for i in range(int(np.max(e)).bit_length()):
+        if i:
+            b = b * b % m
+        bit = e >> i & 1
+        if np.ndim(bit):
+            r = np.where(bit == 1, r * b % m, r)
+        elif bit:
+            r = r * b % m
+    return r
+
+
+def _jacobi_vec(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Jacobi symbols (a/n) on int64 lanes, for odd n >= 3 (below 2^62), one
+    (a, n) per lane.
+
+    jacobi's algorithm with each run of factors 2 shifted out at once; lanes
+    leave the loop as their remainder reaches 0.
+    """
+    a = a % n
+    out = np.zeros_like(a)
+    idx = np.flatnonzero(a)  # a = 0 mod n gives 0, as n > 1
+    a, n = a[idx], n[idx]
+    r = np.ones_like(a)
+    while idx.size:
+        tz = np.frexp(a & -a)[1] - 1  # trailing zeros of a > 0
+        a = a >> tz
+        r = np.where((tz & 1 == 1) & ((n & 7 == 3) | (n & 7 == 5)), -r, r)
+        r = np.where((a & 3 == 3) & (n & 3 == 3), -r, r)
+        a, n = n % a, a
+        done = a == 0
+        out[idx[done]] = np.where(n[done] == 1, r[done], 0)
+        live = ~done
+        idx, a, n, r = idx[live], a[live], n[live], r[live]
+    return out
+
+
+def _mulmod_p2(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod p^2 for residues below p^2, p < 2^31, on two limbs x0 + x1*p:
+    every product is below 2^62 and the limb sum below 2^63."""
+    x1, x0 = np.divmod(x, p)
+    y1, y0 = np.divmod(y, p)
+    c1, c0 = np.divmod(x0 * y0, p)
+    return c0 + (c1 + x0 * y1 + x1 * y0) % p * p
+
+
+def _t_ladder_vec(
+    a: np.ndarray, k: np.ndarray, m: np.ndarray, p: np.ndarray | None = None, keep: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """T-ladder on int64 lanes: T_j(a) mod m for the last `keep` prefixes j of
+    each exponent k, and T_{k+1}(a) mod m, with a in [0, m), k and m per lane.
+
+    Each bit of k maps (T_j, T_{j+1}) to (T_2j, T_2j+1) or (T_2j+1, T_2j+2)
+    through T_2j = 2T_j^2 - 1 and T_2j+1 = 2T_j T_j+1 - a.  Leading zero bits
+    keep (T_0, T_1) = (1, a), so exponents of every length share one loop.
+    Moduli lie below 2^31, or m = p^2 with p < 2^31 given, and then each
+    product is taken on two limbs.  Row i of the first result is
+    T_{k >> (keep - 1 - i)}, so its last row is T_k; keep <= bit length of k.
+    """
+    mul = (lambda x, y: x * y % m) if p is None else (lambda x, y: _mulmod_p2(x, y, p))
+    t0, t1 = np.ones_like(a), a
+    rows = []
+    nbits = int(k.max()).bit_length()
+    for i in range(nbits - 1, -1, -1):
+        bit = k >> i & 1 == 1
+        cross = (2 * mul(t0, t1) - a) % m
+        sq = np.where(bit, t1, t0)
+        sq = (2 * mul(sq, sq) - 1) % m
+        t0, t1 = np.where(bit, cross, sq), np.where(bit, sq, cross)
+        if i < keep:
+            rows.append(t0)
+    return np.array(rows), t1
 
 
 def cheb_eval(a: int, n: int, m: int) -> ChebPair:

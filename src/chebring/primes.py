@@ -9,6 +9,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
+import numpy as np
+
 # Deterministic witness sets for Miller-Rabin (Jaeschke / Sorenson-Webster).
 # First tuple is valid for n < 341_550_071_728_321 (~3.4e14), second for
 # n < 3.317e24.  Beyond that the fixed bases make the test probabilistic,
@@ -60,16 +62,23 @@ def primes_upto(limit: int) -> list[int]:
     return primes_in(2, limit + 1)
 
 
+def _sieve_flags(lo: int, hi: int) -> np.ndarray:
+    """Segmented sieve over [lo, hi), 2 <= lo < hi: uint8 flags, 1 exactly at
+    the primes.  The one sieve body, behind primes_in and the composite mask
+    of the pseudoprime scan."""
+    flags = bytearray([1]) * (hi - lo)
+    for p in primes_in(2, isqrt(hi - 1) + 1):
+        start = max(p * p, (lo + p - 1) // p * p)
+        flags[start - lo : hi - lo : p] = bytearray(len(range(start, hi, p)))
+    return np.frombuffer(flags, np.uint8)
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in the half-open range [lo, hi) by segmented sieve."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    flags = bytearray([1]) * (hi - lo)
-    for p in primes_in(2, isqrt(hi - 1) + 1):
-        start = max(p * p, (lo + p - 1) // p * p)
-        flags[start - lo : hi - lo : p] = bytearray(len(range(start, hi, p)))
-    return [lo + i for i, f in enumerate(flags) if f]
+    return (np.flatnonzero(_sieve_flags(lo, hi)) + lo).tolist()
 
 
 def factorize(n: int) -> dict[int, int]:

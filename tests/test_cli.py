@@ -234,6 +234,10 @@ def test_domain_errors_exit_1(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err == f"error: prime {argv[-1]} exceeds the table cap of 262144\n"
+    for command in ("wieferich", "pseudoprimes"):
+        code, out, err = run(capsys, [command, "--base", "3", "--limit", "2147483648"])
+        assert (code, out) == (1, "")
+        assert err == "error: limit 2147483648 exceeds the search cap of 2147483647 (int64 lanes)\n"
     code, _, err = run(capsys, ["dh-demo", "-p", "15", "-g", "2"])
     assert code == 1
     for flag in ([], ["--mod-p2"]):  # 4 is not +-1 mod 15, but 4^2 - 1 = 15

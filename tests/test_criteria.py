@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from chebring.criteria import (
+    SEARCH_CAP,
     PseudoprimeVerdict,
     characters,
     euler_criterion_failures,
@@ -21,7 +22,8 @@ from chebring.criteria import (
     wieferich_search,
 )
 from chebring.modarith import _ladder_tu, cheb_eval, jacobi
-from chebring.primes import primes_in, primes_upto
+from chebring.primes import is_prime, primes_in, primes_upto
+from chebring.structure import ResourceLimitError
 
 BASE2_FULL_PSEUDOPRIMES = [989, 2701, 10609, 11041, 15505, 18721, 18817]
 BASE2_WEAK_PSEUDOPRIMES_2000 = [209, 231, 399, 455, 901, 903, 923, 989, 1295, 1729, 1855]
@@ -193,8 +195,10 @@ def test_wieferich_small_limits():
 
 def test_wieferich_matches_inverse_route():
     """The scan tests U = 0 mod p^2 without an inverse; _ladder_tu computes
-    U_{(p-eps)/2 - 1} itself through the inverse of base^2 - 1."""
-    for base in (2, 3, 5, 6, 7, 10, 12, 13, 17, 18, -5, 10**12 + 39):
+    U_{(p-eps)/2 - 1} itself through the inverse of base^2 - 1.  Bases from
+    2^63 on overflow base % int64 lanes."""
+    wide = (1 << 63, (1 << 64) + 13, -(1 << 63) - 3, (1 << 70) + 3)
+    for base in (2, 3, 5, 6, 7, 10, 12, 13, 17, 18, -5, 10**12 + 39, *wide):
         want = []
         for p in primes_in(3, 20_000):
             eps = jacobi(base * base - 1, p)
@@ -237,3 +241,41 @@ def test_primes_never_flagged_pseudoprime():
     found = pseudoprime_search(2, 20_000, kind="weak")
     prime_set = set(primes_upto(20_000))
     assert not prime_set & {v.n for v in found}
+
+
+SCAN_BASES = (2, 3, 10, -7, 30030, (1 << 63) + 7, (1 << 70) + 3)  # 30030 = 2*3*5*7*11*13
+
+
+def _scalar_scan(base: int, limit: int, kind: str) -> list[PseudoprimeVerdict]:
+    """The pseudoprime scan written with the single-n tests, one n at a time."""
+    out = []
+    for n in range(9, limit + 1, 2):
+        if is_prime(n):
+            continue
+        if kind == "weak":
+            if weak_pseudoprime_test(n, base):
+                out.append(PseudoprimeVerdict(n, base, kind, True))
+            continue
+        if gcd(base * base - 1, n) > 1:
+            continue
+        v = full_pseudoprime_test(n, base) if kind == "full" else strong_profile(n, base)
+        if v.passed:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("base", SCAN_BASES)
+def test_pseudoprime_lanes_match_single_n_tests(base):
+    """Every odd composite n in [9, 5000), all three kinds, verdicts and profiles."""
+    for kind in ("weak", "full", "strong"):
+        assert pseudoprime_search(base, 4999, kind, threads=1) == _scalar_scan(base, 4999, kind), kind
+
+
+def test_search_cap():
+    for limit in (SEARCH_CAP, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"limit {limit} exceeds the search cap of 2147483647"):
+            wieferich_search(3, limit)
+        with pytest.raises(ResourceLimitError, match=f"limit {limit} exceeds the search cap of 2147483647"):
+            pseudoprime_search(3, limit, "strong")
+        assert time.perf_counter() - start < 1.0

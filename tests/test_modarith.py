@@ -4,18 +4,23 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 
 from chebring.modarith import (
     ChebPair,
+    _jacobi_vec,
     _ladder_tu,
+    _pow_vec,
+    _residues,
+    _t_ladder_vec,
     cheb_compose_check,
     cheb_eval,
     cheb_t,
     jacobi,
 )
-from chebring.primes import primes_upto
+from chebring.primes import primes_in, primes_upto
 
 # --- oracle: the transfer-matrix route, independent of the Lucas ladder ------
 
@@ -246,3 +251,54 @@ def test_eval_argument_errors():
         cheb_compose_check(5, 3, 3, 0)
     with pytest.raises(ValueError, match="modulus must be >= 2, got -5"):
         cheb_compose_check(5, 3, 3, -5)
+
+
+# --- lane kernels at the top of their range, against the scalar routines ------
+
+
+def test_t_ladder_lanes_below_2_31():
+    """Moduli just below 2^31, where a ladder step left unreduced overflows
+    int64 at the next product: every lane's T_{k >> i} and T_{k+1} equal cheb_t."""
+    rng = random.Random(31)
+    m = np.array([(1 << 31) - 1 - 2 * i for i in range(300)], dtype=np.int64)
+    a = np.array([rng.randrange(1 << 31) for _ in m], dtype=np.int64)
+    k = np.array([rng.randrange(1, 1 << 31) for _ in m], dtype=np.int64)
+    rows, t1 = _t_ladder_vec(a, k, m, keep=4)
+    for i in range(len(m)):
+        ai, ki, mi = int(a[i]), int(k[i]), int(m[i])
+        assert [int(t) for t in rows[:, i]] == [cheb_t(ai, ki >> j, mi) for j in (3, 2, 1, 0)], (ai, ki, mi)
+        assert t1[i] == cheb_t(ai, ki + 1, mi), (ai, ki, mi)
+
+
+def test_t_ladder_two_limbs_below_2_62():
+    """m = p^2 for the primes just below 2^31, on two limbs x0 + x1*p, where a
+    product left unreduced mod p^2 overflows int64 when doubled."""
+    rng = random.Random(62)
+    p = np.array(primes_in((1 << 31) - 6000, 1 << 31), dtype=np.int64)
+    m = p * p
+    a = np.array([rng.randrange(1 << 62) for _ in p], dtype=np.int64) % m
+    k = np.array([rng.randrange(1, 1 << 31) for _ in p], dtype=np.int64)
+    rows, t1 = _t_ladder_vec(a, k, m, p)
+    for i in range(len(p)):
+        ai, ki, mi = int(a[i]), int(k[i]), int(m[i])
+        assert rows[-1, i] == cheb_t(ai, ki, mi), (ai, ki, mi)
+        assert t1[i] == cheb_t(ai, ki + 1, mi), (ai, ki, mi)
+
+
+def test_pow_and_jacobi_lanes():
+    rng = random.Random(7)
+    n = np.array([(1 << 31) - 1 - 2 * i for i in range(200)] + list(range(3, 400, 2)), dtype=np.int64)
+    x = np.array([rng.randrange(-(1 << 40), 1 << 40) for _ in n], dtype=np.int64)
+    e = np.array([rng.randrange(1 << 31) for _ in n], dtype=np.int64)
+    powers, symbols = _pow_vec(x, e, n), _jacobi_vec(x, n)
+    for i in range(len(n)):
+        assert powers[i] == pow(int(x[i]), int(e[i]), int(n[i]))
+        assert symbols[i] == jacobi(int(x[i]), int(n[i]))
+    assert _jacobi_vec(n * 5, n).tolist() == [0] * len(n)
+
+
+def test_residues_of_wide_integers():
+    """base % int64 lanes raises OverflowError from 2^63 on; _residues takes any int."""
+    m = np.array([3, 1_000_003, (1 << 31) - 1, ((1 << 31) - 1) ** 2], dtype=np.int64)
+    for x in (0, -7, (1 << 62) - 1, 1 << 62, 1 << 63, (1 << 64) + 13, -(1 << 63) - 5, (1 << 70) + 3):
+        assert _residues(x, m).tolist() == [x % int(v) for v in m], x
