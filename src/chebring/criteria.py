@@ -29,7 +29,6 @@ from .modarith import (
     _jacobi_vec,
     _ladder_tu,
     _mulmod_p2,
-    _pair_pow_vec,
     _pow_vec,
     _residues,
     _t_ladder_vec,
@@ -130,10 +129,10 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
 
     Default mode checks all four mod-p congruences (both exponents
     (p -+ eps)/2); squared=True checks the T = delta congruence mod p^2.
-    Vectorized over all of R_p with a single pair exponentiation: the pair
-    at (p+1)/2 is the pair at (p-1)/2 times omega_a, so each lane picks the
-    two exponents it needs from one ladder.  Moduli must stay below 2^31
-    (int64 intermediate products).
+    Vectorized over all of R_p with one T-ladder to h = (p-1)/2: the two
+    exponents (p -+ eps)/2 are h and h + 1, and with d = a^2 - 1 the U values
+    come from d U_{j-1} = T_{j+1} - a T_j = a T_j - T_{j-1} without an
+    inverse.  Moduli must stay below 2^31 (int64 intermediate products).
     """
     m = p * p if squared else p
     if m >= 1 << 31:
@@ -142,27 +141,28 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
         raise ValueError(f"characters need an odd modulus >= 3, got {p}")
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     half = (p - 1) // 2
-    eps = np.where(_pow_vec((a * a - 1) % p, half, p) == 1, 1, -1)
+    d = (a * a - 1) % p
+    eps = np.where(_pow_vec(d, half, p) == 1, 1, -1)
     delta = np.where(_pow_vec(2 * (a + 1) % p, half, p) == 1, 1, -1)
 
-    d = (a * a - 1) % m
-    t_lo, u_lo = _pair_pow_vec(a, half, m)  # exponent (p-1)/2
-    t_hi = (t_lo * (a % m) % m + d * u_lo % m) % m  # times omega_a
-    u_hi = (t_lo + (a % m) * u_lo % m) % m  # exponent (p+1)/2
-
-    minus = eps == 1  # lanes where (p-eps)/2 is the low exponent
-    t_at_minus = np.where(minus, t_lo, t_hi)
-    u_at_minus = np.where(minus, u_lo, u_hi)
+    rows, t_next = _t_ladder_vec(a, half, m)  # T_h and T_{h+1} mod m
+    t_h = rows[-1]
+    minus = eps == 1  # lanes where (p-eps)/2 is h, the low exponent
+    t_at_minus = np.where(minus, t_h, t_next)
     if squared:
         ok = t_at_minus == delta % m
         return sorted(int(x) for x in a[~ok])
-    t_at_plus = np.where(minus, t_hi, t_lo)
-    u_at_plus = np.where(minus, u_hi, u_lo)
+    du_lo = (t_next - a * t_h) % p  # d U_{h-1}
+    du_hi = (a * t_next - t_h) % p  # d U_h
+    # d U = c fixes U = c only where d is a unit.  Elsewhere p is composite with
+    # a prime q | gcd(d, p), a = +-1 mod q, and U_{j-1} = j a^(j-1) mod q for
+    # j = (p-eps)/2, nonzero as 2j = -eps mod q: those lanes fail.
     ok = (
-        (t_at_minus == delta % p)
-        & (u_at_minus == 0)
-        & (t_at_plus == delta * a % p)
-        & (u_at_plus == delta * eps % p)
+        (np.gcd(d, p) == 1)
+        & (t_at_minus == delta % p)
+        & (np.where(minus, du_lo, du_hi) == 0)
+        & (np.where(minus, t_next, t_h) == delta * a % p)
+        & (np.where(minus, du_hi, du_lo) == d * delta * eps % p)
     )
     return sorted(int(x) for x in a[~ok])
 
@@ -198,18 +198,17 @@ def _run_chunks(worker, jobs: list, threads: int | None) -> list:
 def _wieferich_chunk(job: tuple[int, int, int]) -> list[WieferichHit]:
     base, lo, hi = job
     p = np.flatnonzero(_sieve_flags(lo, hi)) + lo
-    a = _residues(base, p)
+    a2 = _residues(base, p * p)
+    a = a2 % p
     live = (a > 1) & (a < p - 1)  # eps = 0 exactly when base = +-1 mod p
-    p, a = p[live], a[live]
+    p, a, a2 = p[live], a[live], a2[live]
     if not p.size:
         return []
     eps = np.where(_pow_vec(a * a - 1, (p - 1) // 2, p) == 1, 1, -1)
     # With n = (p-eps)/2, T_{n+1} - a T_n = (a^2-1) U_{n-1} and a^2 - 1 is a unit
     # mod p^2, so U_{n-1} = 0 mod p^2 exactly when the left side vanishes.
-    m = p * p
-    a = _residues(base, m)
-    rows, t1 = _t_ladder_vec(a, (p - eps) // 2, m, p)
-    hit = t1 == _mulmod_p2(a, rows[-1], p)
+    rows, t1 = _t_ladder_vec(a2, (p - eps) // 2, p * p, p)
+    hit = t1 == _mulmod_p2(a2, rows[-1], p)
     return [WieferichHit(int(x), base) for x in p[hit]]
 
 

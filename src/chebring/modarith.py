@@ -14,10 +14,10 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
 two consecutive V terms.  The lane helpers run on int64 numpy lanes, one
-candidate per lane: _pair_pow_vec (the pair ladder, one exponent), _pow_vec
-(modpow), _jacobi_vec (Jacobi symbols) and _t_ladder_vec (the T-ladder),
-the last three with per-lane exponents and moduli below 2^31, or mod p^2 on
-two limbs.  All of it is exact integer arithmetic on canonical residues in [0, m).
+candidate per lane: _pow_vec (modpow), _jacobi_vec (Jacobi symbols) and
+_t_ladder_vec (the one vector Chebyshev ladder), with per-lane exponents and
+moduli below 2^31, or mod p^2 on two limbs.  All of it is exact integer
+arithmetic on canonical residues in [0, m).
 """
 
 from __future__ import annotations
@@ -81,20 +81,6 @@ def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:
     return t, u
 
 
-def _pair_pow_vec(a: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair powering: lanes of (T_n(a), U_{n-1}(a)) mod m."""
-    d = (a * a - 1) % m
-    t, u = np.ones_like(a), np.zeros_like(a)
-    st, su = a % m, np.ones_like(a)
-    while n:
-        if n & 1:
-            t, u = (t * st % m + (d * u % m) * su) % m, (t * su % m + st * u % m) % m
-        n >>= 1
-        if n:
-            st, su = (st * st % m + (d * su % m) * su) % m, 2 * st * su % m
-    return t, u
-
-
 def _residues(x: int, m: np.ndarray) -> np.ndarray:
     """x mod each lane of m, for a Python int x of any size."""
     if -(1 << 62) <= x < 1 << 62:
@@ -106,17 +92,13 @@ def _pow_vec(base: np.ndarray, e, m) -> np.ndarray:
     """base^e mod m on int64 lanes; the exponents e >= 0 and the moduli
     2 <= m < 2^31 are ints or arrays with one entry per lane of base.  Right
     to left over the bits of e, so lanes with shorter exponents just stop
-    picking up factors; an int exponent needs no per-lane select."""
+    picking up factors."""
     b = base % m
     r = np.ones_like(b)
     for i in range(int(np.max(e)).bit_length()):
         if i:
             b = b * b % m
-        bit = e >> i & 1
-        if np.ndim(bit):
-            r = np.where(bit == 1, r * b % m, r)
-        elif bit:
-            r = r * b % m
+        r = np.where(e >> i & 1 == 1, r * b % m, r)
     return r
 
 
@@ -158,7 +140,8 @@ def _t_ladder_vec(
     a: np.ndarray, k: np.ndarray, m: np.ndarray, p: np.ndarray | None = None, keep: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """T-ladder on int64 lanes: T_j(a) mod m for the last `keep` prefixes j of
-    each exponent k, and T_{k+1}(a) mod m, with a in [0, m), k and m per lane.
+    each exponent k, and T_{k+1}(a) mod m, with a in [0, m); k and m are
+    arrays with one entry per lane of a, or ints shared by every lane.
 
     Each bit of k maps (T_j, T_{j+1}) to (T_2j, T_2j+1) or (T_2j+1, T_2j+2)
     through T_2j = 2T_j^2 - 1 and T_2j+1 = 2T_j T_j+1 - a.  Leading zero bits
@@ -170,7 +153,7 @@ def _t_ladder_vec(
     mul = (lambda x, y: x * y % m) if p is None else (lambda x, y: _mulmod_p2(x, y, p))
     t0, t1 = np.ones_like(a), a
     rows = []
-    nbits = int(k.max()).bit_length()
+    nbits = int(np.max(k)).bit_length()
     for i in range(nbits - 1, -1, -1):
         bit = k >> i & 1 == 1
         cross = (2 * mul(t0, t1) - a) % m

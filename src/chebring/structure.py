@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modarith import _pair_pow_vec, cheb_t, jacobi
+from .modarith import _t_ladder_vec, cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
@@ -308,15 +308,13 @@ def partition(p: int) -> PartitionTable:
     """The four cells of R_p, computed two independent ways.
 
     Route one reads the characters (eps, delta) from the Legendre table;
-    route two takes T_{(p-eps)/2}(a) mod p on vector lanes (the pair ladder
-    to (p-1)/2, times omega_a where eps = -1), which must land on delta.
+    route two takes T_{(p-eps)/2}(a) mod p on vector lanes (the T-ladder,
+    one exponent per lane), which must land on delta.
     """
     chi = _legendre_table(p)
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
-    d = (a * a - 1) % p
-    eps, delta = chi[d], chi[2 * (a + 1) % p]
-    t, u = _pair_pow_vec(a, (p - 1) // 2, p)
-    t = np.where(eps == 1, t, (t * a + d * u) % p)
+    eps, delta = chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
+    t = _t_ladder_vec(a, (p - eps) // 2, p)[0][-1]
     bad = a[t != delta % p]
     if bad.size:
         raise ArithmeticError(f"T_((p-eps)/2)({bad[0]}) is not delta mod {p}: the two routes disagree")

@@ -82,6 +82,21 @@ def test_criterion_failures_flag_a_composite():
     assert euler_criterion_failures(15) == [a for a in range(15) if a not in (1, 14)]
 
 
+def test_criterion_failures_match_scalar_pairs():
+    """The lanes read U from d*U with d = a^2 - 1; at composites d may be no unit,
+    and the failures still equal those of the exact pairs from cheb_eval."""
+    for n in range(5, 400, 2):
+        h = (n - 1) // 2
+        expected = []
+        for a in (0, *range(2, n - 1)):
+            eps = 1 if pow(a * a - 1, h, n) == 1 else -1
+            delta = 1 if pow(2 * (a + 1), h, n) == 1 else -1
+            lo, hi = cheb_eval(a, (n - eps) // 2, n), cheb_eval(a, (n + eps) // 2, n)
+            if (lo.t, lo.u, hi.t, hi.u) != (delta % n, 0, delta * a % n, delta * eps % n):
+                expected.append(a)
+        assert euler_criterion_failures(n) == expected, n
+
+
 def test_criterion_failures_modulus_cap():
     for p in (70_000, 46_341):  # 46_341 is the least p with p^2 >= 2^31
         with pytest.raises(ValueError, match="too large"):

@@ -295,6 +295,7 @@ def test_pow_and_jacobi_lanes():
         assert powers[i] == pow(int(x[i]), int(e[i]), int(n[i]))
         assert symbols[i] == jacobi(int(x[i]), int(n[i]))
     assert _jacobi_vec(n * 5, n).tolist() == [0] * len(n)
+    assert _pow_vec(x, 12345, 1_000_003).tolist() == [pow(int(v), 12345, 1_000_003) for v in x]
 
 
 def test_residues_of_wide_integers():

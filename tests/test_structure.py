@@ -131,14 +131,14 @@ def test_partition_matches_scalar_characters():
 @pytest.mark.parametrize("bad", [5, 19])  # cells ++ and -- at p = 23: eps = +1 and eps = -1
 def test_partition_second_route_is_live(monkeypatch, bad):
     """Corrupting one lane of the vector ladder breaks partition at that residue."""
-    real = structure._pair_pow_vec
+    real = structure._t_ladder_vec
 
-    def corrupted(a, n, m):
-        t, u = real(a, n, m)
-        t[a == bad] = (t[a == bad] + 1) % m
-        return t, u
+    def corrupted(a, k, m):
+        rows, t1 = real(a, k, m)
+        rows[-1][a == bad] = (rows[-1][a == bad] + 1) % m
+        return rows, t1
 
-    monkeypatch.setattr(structure, "_pair_pow_vec", corrupted)
+    monkeypatch.setattr(structure, "_t_ladder_vec", corrupted)
     with pytest.raises(ArithmeticError, match=rf"^T_\(\(p-eps\)/2\)\({bad}\) is not delta mod 23"):
         partition(23)
 
