@@ -101,19 +101,6 @@ def shifted_character_sums(p: int) -> tuple[complex, complex, complex]:
     return s_minus, s_plus, s_both
 
 
-def _trick_value(p: int, eps: int, delta: int, s: complex, zp: list[complex]) -> complex:
-    root = epsilon_p(p) * math.sqrt(p)
-    zeta, zeta_inv = zp[1], zp[p - 1]
-    sign2 = jacobi(2, p)
-    sign_m1 = jacobi(-1, p)
-    return (
-        -math.cos(2 * math.pi / p) / 2
-        + eps / 4 * (sign_m1 + s)
-        + delta / 4 * (root * sign2 * zeta_inv - zeta)
-        + eps * delta / 4 * (root * sign2 * zeta - sign_m1 * zeta_inv)
-    )
-
-
 def partition_sums(p: int) -> ExpSumReport:
     """All four cell sums, computed directly and via the character trick.
 
@@ -127,10 +114,18 @@ def partition_sums(p: int) -> ExpSumReport:
     s = weil_sum(p)
     if abs(s) > 2 * math.sqrt(p) + TOLERANCE:
         raise ArithmeticError(f"Weil bound violated at p={p}")
+    gauss_root = epsilon_p(p) * math.sqrt(p)
+    zeta, zeta_inv = zp[1], zp[p - 1]
+    sign2, sign_m1 = jacobi(2, p), jacobi(-1, p)
     g: dict[str, complex] = {}
     for cell, (eps, delta) in CELLS.items():
         direct = sum(zp[a] for a in table.sets[cell])
-        trick = _trick_value(p, eps, delta, s, zp)
+        trick = (
+            -math.cos(2 * math.pi / p) / 2
+            + eps / 4 * (sign_m1 + s)
+            + delta / 4 * (gauss_root * sign2 * zeta_inv - zeta)
+            + eps * delta / 4 * (gauss_root * sign2 * zeta - sign_m1 * zeta_inv)
+        )
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")
         g[cell] = direct

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .modarith import _t_ladder_vec, cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
-TABLE_CAP = 1 << 18  # largest p for per-prime tables: there the orders take about 6 s, the rest 1 s
+TABLE_CAP = 1 << 18  # largest p for per-prime tables: at 262139 each caller takes under 1 s (2-CPU VM)
 
 
 class ResourceLimitError(RuntimeError):
@@ -49,15 +49,11 @@ def _legendre_table(p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """The four cells A_{eps delta} of R_p; every element's order on demand."""
+    """The four cells A_{eps delta} of R_p and the omega-order of each element."""
 
     p: int
     sets: dict[str, tuple[int, ...]]
-
-    @cached_property
-    def orders(self) -> dict[int, int]:
-        """The omega-order of each element, found on first use."""
-        return {a: _order(a, self.p, CELLS[key][0]) for key, cell in self.sets.items() for a in cell}
+    orders: dict[int, int]
 
     def cell_of(self, a: int) -> str:
         for key, members in self.sets.items():
@@ -305,33 +301,45 @@ def _order(a: int, p: int, eps: int) -> int:
 
 
 def partition(p: int) -> PartitionTable:
-    """The four cells of R_p, computed two independent ways.
+    """The four cells of R_p and every element's omega-order, two ways.
 
-    Route one reads the characters (eps, delta) from the Legendre table;
-    route two takes T_{(p-eps)/2}(a) mod p on vector lanes (the T-ladder,
-    one exponent per lane), which must land on delta.
+    Route one reads the characters (eps, delta) from the Legendre table.
+    Route two, the Chebyshev walk, takes T_k(g), k = 1 ... n/2 - 1, for one g
+    of each eps with omega-order n = p - eps (one T-ladder, an exponent per
+    lane).  It must meet each residue of R_p once, with the table's eps and
+    delta = +1 exactly at even k; T_k(g) has omega-order n / gcd(k, n).
     """
     chi = _legendre_table(p)
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     eps, delta = chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
-    t = _t_ladder_vec(a, (p - eps) // 2, p)[0][-1]
-    bad = a[t != delta % p]
+    lanes = []  # the (g, k, n) lane arrays of each walk
+    for e in (1, -1):
+        n = p - e
+        if n > 2:  # at p = 3 the class eps = +1 is empty
+            g = next(x for x in a[eps == e].tolist() if _order(x, p, e) == n)
+            k = np.arange(1, n // 2, dtype=np.int64)
+            lanes.append((np.full_like(k, g), k, np.full_like(k, n)))
+    g, k, n = (np.concatenate(col) for col in zip(*lanes))
+    walk = _t_ladder_vec(g, k, p)[0][-1]
+    lane = np.zeros(p, dtype=np.int64)
+    lane[walk] = np.arange(walk.size)
+    k, n = k[lane[a]], n[lane[a]]  # the step and group order that met each a
+    met = np.bincount(walk, minlength=p)[a]
+    bad = a[(met != 1) | (p - n != eps) | ((k % 2 == 0) != (delta == 1))]
     if bad.size:
-        raise ArithmeticError(f"T_((p-eps)/2)({bad[0]}) is not delta mod {p}: the two routes disagree")
+        raise ArithmeticError(f"the Chebyshev walk mod {p} disagrees with the Legendre table at {bad[0]}")
     cell = 2 * (eps < 0) + (delta < 0)  # index into CELLS
-    return PartitionTable(p, {key: tuple(a[cell == i].tolist()) for i, key in enumerate(CELLS)})
+    sets = {key: tuple(a[cell == i].tolist()) for i, key in enumerate(CELLS)}
+    return PartitionTable(p, sets, dict(zip(a.tolist(), (n // np.gcd(k, n)).tolist())))
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
-    """I_d = {a in R_p : omega-order d}, verified against the partition.
-
-    The delta = +1 cells are exactly the orders dividing (p-eps)/2; the
-    delta = -1 cells collect the remaining divisors of p-eps.  Each
-    nonempty I_d with d > 2 has exactly phi(d)/2 elements.
+    """I_d = {a in R_p : omega-order d}, from the orders of the partition,
+    whose walk ties them to the cells: delta = +1 exactly where d divides
+    (p-eps)/2.  Each nonempty I_d with d > 2 has exactly phi(d)/2 elements.
     """
-    table = partition(p)
     classes: dict[int, list[int]] = {}
-    for a, d in table.orders.items():
+    for a, d in partition(p).orders.items():
         classes.setdefault(d, []).append(a)
     out = {d: tuple(sorted(v)) for d, v in sorted(classes.items())}
     for d, members in out.items():
@@ -339,12 +347,6 @@ def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
             raise ArithmeticError(f"order {d} cannot occur on R_{p}")
         if len(members) != euler_phi(d) // 2:
             raise ArithmeticError(f"|I_{d}| = {len(members)} != phi({d})/2 at p={p}")
-    for eps in (1, -1):
-        half = (p - eps) // 2
-        plus = sorted(x for d, mem in out.items() if half % d == 0 for x in mem)
-        minus = sorted(x for d, mem in out.items() if (p - eps) % d == 0 and half % d != 0 for x in mem)
-        if plus != sorted(table.sets[_cell(eps, 1)]) or minus != sorted(table.sets[_cell(eps, -1)]):
-            raise ArithmeticError(f"order classes do not refine the partition at p={p}")
     return out
 
 

@@ -1,0 +1,65 @@
+"""Source hygiene of src/chebring: no unused imports, no unreferenced private code."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chebring"
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name a tree reads: bare names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level _-prefixed functions and classes that no statement
+    outside their own definition reads, in any of the given modules."""
+    statements = [(name, stmt) for name, source in sources.items() for stmt in ast.parse(source).body]
+    out = []
+    for module, stmt in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+            if not any(stmt.name in _used_names(other) for _, other in statements if other is not stmt):
+                out.append(f"{module}.{stmt.name}")
+    return out
+
+
+def _library() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_unused_imports():
+    found = {name: unused_imports(source) for name, source in _library().items() if name != "__init__"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unreferenced_private_code():
+    assert unreferenced_private(_library()) == []
+
+
+def test_checks_see_what_they_look_for():
+    module = "from functools import cached_property, lru_cache\nimport numpy as np\n\n"
+    module += "@lru_cache\ndef f(x):\n    return np.sqrt(x)\n"
+    assert unused_imports(module) == ["cached_property"]
+    private = "def _used():\n    return 1\n\ndef _dead():\n    return _dead()\n\nclass _Gone:\n    pass\n"
+    assert unreferenced_private({"a": private, "b": "from .a import _used\n"}) == ["a._dead", "a._Gone"]

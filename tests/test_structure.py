@@ -68,15 +68,12 @@ def test_partition_orders_golden():
             assert table.orders[a] == d
 
 
-def test_partition_orders_on_demand():
-    """The cells carry no orders; the orders property finds each once and
-    agrees with omega_order on all of R_p."""
-    assert [f.name for f in dataclasses.fields(structure.PartitionTable)] == ["p", "sets"]
+def test_partition_orders_match_omega_order():
+    """The table is a plain record whose orders, read off the walk, agree
+    with omega_order on all of R_p."""
+    assert [f.name for f in dataclasses.fields(structure.PartitionTable)] == ["p", "sets", "orders"]
     for p in primes_in(3, 300):
-        table = partition(p)
-        assert "orders" not in vars(table)
-        assert table.orders == {a: omega_order(a, p) for a in (0, *range(2, p - 1))}
-        assert table.orders is table.orders
+        assert partition(p).orders == {a: omega_order(a, p) for a in (0, *range(2, p - 1))}
 
 
 def test_partition_serialization():
@@ -99,19 +96,17 @@ def test_partition_sweep_consistent():
 
 
 def test_partition_checks_its_prime_once(monkeypatch):
-    """One primality check per partition, not one per residue; the cells
-    run on vector lanes with no scalar cheb_t call, and the orders, found
-    only when read, still come from cheb_t as structure binds it."""
+    """One primality check per partition, not one per residue; the cells and
+    orders run on vector lanes, and the only scalar cheb_t calls, as
+    structure binds it, are the full-order tests of the walk's generators."""
     primality_calls, ladder_calls = [], []
     real_is_prime, real_cheb_t = structure.is_prime, structure.cheb_t
     monkeypatch.setattr(structure, "is_prime", lambda n: primality_calls.append(n) or real_is_prime(n))
     monkeypatch.setattr(structure, "cheb_t", lambda *args: ladder_calls.append(args) or real_cheb_t(*args))
     table = partition(1009)
-    assert len(ladder_calls) == 0
-    orders = table.orders
     assert primality_calls == [1009]
-    assert len(ladder_calls) > 0
-    assert orders[0] == 4
+    assert 0 < len(ladder_calls) < 100
+    assert table.orders[0] == 4
 
 
 def test_legendre_table_matches_jacobi():
@@ -130,17 +125,55 @@ def test_partition_matches_scalar_characters():
 
 @pytest.mark.parametrize("bad", [5, 19])  # cells ++ and -- at p = 23: eps = +1 and eps = -1
 def test_partition_second_route_is_live(monkeypatch, bad):
-    """Corrupting one lane of the vector ladder breaks partition at that residue."""
+    """Corrupting the walk lane that meets one residue breaks partition there."""
     real = structure._t_ladder_vec
 
     def corrupted(a, k, m):
         rows, t1 = real(a, k, m)
-        rows[-1][a == bad] = (rows[-1][a == bad] + 1) % m
+        rows[-1][rows[-1] == bad] = bad + 1
         return rows, t1
 
     monkeypatch.setattr(structure, "_t_ladder_vec", corrupted)
-    with pytest.raises(ArithmeticError, match=rf"^T_\(\(p-eps\)/2\)\({bad}\) is not delta mod 23"):
+    with pytest.raises(ArithmeticError, match=rf"^the Chebyshev walk mod 23 disagrees with .* table at {bad}$"):
         partition(23)
+
+
+def test_walk_edge_primes():
+    """At p = 3 the class eps = +1 is empty; at 5 and 7 each walk has one or
+    two lanes.  Cells, orders and classes still match the scalar oracles."""
+    assert partition(3) == structure.PartitionTable(3, {"++": (), "+-": (), "-+": (), "--": (0,)}, {0: 4})
+    assert order_class_decomposition(3) == {4: (0,)}
+    assert order_class_decomposition(5) == {3: (2,), 4: (0,), 6: (3,)}
+    for p in (3, 5, 7):
+        table = partition(p)
+        for a in (0, *range(2, p - 1)):
+            assert structure.CELLS[table.cell_of(a)] == (jacobi(a * a - 1, p), jacobi(2 * (a + 1), p))
+            assert table.orders[a] == omega_order(a, p)
+
+
+def test_order_classes_at_the_cap_are_fast():
+    p = max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))  # 262139
+    start = time.perf_counter()
+    classes = order_class_decomposition(p)
+    assert time.perf_counter() - start < 3.0
+    assert sum(len(members) for members in classes.values()) == p - 2
+
+
+def test_order_classes_follow_the_walk(monkeypatch):
+    """Two walk lanes swapped between an even and an odd step still meet
+    every residue once, but break the parity rule, so the order classes
+    never form on a walk that does not refine the cells."""
+    real = structure._t_ladder_vec
+
+    def swapped(a, k, m):
+        rows, t1 = real(a, k, m)
+        two, six = rows[-1] == 2, rows[-1] == 6  # omega-orders 11 and 22 at p = 23
+        rows[-1][two], rows[-1][six] = 6, 2
+        return rows, t1
+
+    monkeypatch.setattr(structure, "_t_ladder_vec", swapped)
+    with pytest.raises(ArithmeticError, match="^the Chebyshev walk mod 23 disagrees with the Legendre table at 2$"):
+        order_class_decomposition(23)
 
 
 def test_table_cap():
