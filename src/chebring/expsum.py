@@ -6,6 +6,7 @@ sum S = sum ((a^2-1)/p) zeta^a over nonzero a.  Expanding the cell
 indicator through the two characters turns each g into a combination of
 Gauss sums plus (eps/4) S, so Weil's |S| <= 2 sqrt(p) yields
 |g| <= sqrt(p) + 5/4: square-root cancellation on sets of size ~p/4.
+The cells come from the Legendre table alone, with no Chebyshev walk.
 
 Everything here is double precision; every closed form is asserted
 against direct summation at 1e-9 tolerance, which holds on the domain:
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .modarith import jacobi
-from .structure import CELLS, _cell, _legendre_table, partition
+from .structure import CELLS, _cell, _character_cells, _legendre_table
 
 TOLERANCE = 1e-9
 
@@ -76,61 +77,58 @@ def weil_sum(p: int) -> complex:
     return sum(chi[(a * a - 1) % p] * zp[a] for a in range(1, p))
 
 
-def shifted_character_sums(p: int) -> tuple[complex, complex, complex]:
-    """The three shifted sums over R_p, asserted against closed forms.
-
+def _shifted_closed_forms(p: int, zp: list[complex], s: complex) -> tuple[complex, complex, complex]:
+    """(C_minus, C_plus, C_both), the closed forms of the shifted sums over R_p:
     sum ((a-1)/p) zeta^a = eps_p sqrt(p) zeta - ((-2)/p) zeta^{-1}
     sum ((a+1)/p) zeta^a = eps_p sqrt(p) zeta^{-1} - ((2)/p) zeta
     sum ((a^2-1)/p) zeta^a = ((-1)/p) + S
     """
+    root = epsilon_p(p) * math.sqrt(p)
+    zeta, zeta_inv = zp[1], zp[p - 1]
+    return root * zeta - jacobi(-2, p) * zeta_inv, root * zeta_inv - jacobi(2, p) * zeta, jacobi(-1, p) + s
+
+
+def shifted_character_sums(p: int) -> tuple[complex, complex, complex]:
+    """The three shifted sums over R_p, asserted against their closed forms."""
     chi = _legendre_table(p).tolist()
     zp = zeta_powers(p)
     domain = [0, *range(2, p - 1)]
-    s_minus = sum(chi[(a - 1) % p] * zp[a] for a in domain)
-    s_plus = sum(chi[a + 1] * zp[a] for a in domain)
-    s_both = sum(chi[(a * a - 1) % p] * zp[a] for a in domain)
-    root = epsilon_p(p) * math.sqrt(p)
-    zeta, zeta_inv = zp[1], zp[p - 1]
-    ok = (
-        _close(s_minus, root * zeta - jacobi(-2, p) * zeta_inv)
-        and _close(s_plus, root * zeta_inv - jacobi(2, p) * zeta)
-        and _close(s_both, jacobi(-1, p) + weil_sum(p))
+    sums = (
+        sum(chi[(a - 1) % p] * zp[a] for a in domain),
+        sum(chi[a + 1] * zp[a] for a in domain),
+        sum(chi[(a * a - 1) % p] * zp[a] for a in domain),
     )
-    if not ok:
+    if not all(map(_close, sums, _shifted_closed_forms(p, zp, weil_sum(p)))):
         raise ArithmeticError(f"shifted character sums disagree at p={p}")
-    return s_minus, s_plus, s_both
+    return sums
 
 
 def partition_sums(p: int) -> ExpSumReport:
     """All four cell sums, computed directly and via the character trick.
 
+    As ((2(a+1))/p) = (2/p)((a+1)/p) and ((2(a+1)(a^2-1))/p) = (2/p)((a-1)/p)
+    on R_p, 4g = -2cos(2pi/p) + eps C_both + (2/p)(delta C_plus + eps delta C_minus).
     The two routes must agree; the report carries S, the bound
     sqrt(p) + 5/4, and the largest |g|/sqrt(p) observed.
     """
     if p < 5:
         raise ValueError(f"partition sums need p >= 5, got {p}")
-    table = partition(p)
+    *_, sets = _character_cells(p)
     zp = zeta_powers(p)
     s = weil_sum(p)
     if abs(s) > 2 * math.sqrt(p) + TOLERANCE:
         raise ArithmeticError(f"Weil bound violated at p={p}")
-    gauss_root = epsilon_p(p) * math.sqrt(p)
-    zeta, zeta_inv = zp[1], zp[p - 1]
-    sign2, sign_m1 = jacobi(2, p), jacobi(-1, p)
+    c_minus, c_plus, c_both = _shifted_closed_forms(p, zp, s)
+    sign2 = jacobi(2, p)
+    whole = -2 * math.cos(2 * math.pi / p)  # zeta summed over R_p
     g: dict[str, complex] = {}
     for cell, (eps, delta) in CELLS.items():
-        direct = sum(zp[a] for a in table.sets[cell])
-        trick = (
-            -math.cos(2 * math.pi / p) / 2
-            + eps / 4 * (sign_m1 + s)
-            + delta / 4 * (gauss_root * sign2 * zeta_inv - zeta)
-            + eps * delta / 4 * (gauss_root * sign2 * zeta - sign_m1 * zeta_inv)
-        )
+        direct = sum(zp[a] for a in sets[cell])
+        trick = (whole + eps * c_both + sign2 * (delta * c_plus + eps * delta * c_minus)) / 4
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")
         g[cell] = direct
-    total = sum(g.values())
-    if not _close(total, -2 * math.cos(2 * math.pi / p)):
+    if not _close(sum(g.values()), whole):
         raise ArithmeticError(f"four-cell sum is off at p={p}")
     root = math.sqrt(p)
     return ExpSumReport(p, g, s, root + 1.25, max(abs(v) for v in g.values()) / root)
@@ -143,10 +141,7 @@ def difference_lemma_check(p: int) -> bool:
     split on p mod 4.  Returns False on numerical disagreement instead of
     raising, so sweeps can record exceptions per prime.
     """
-    if p < 5:
-        raise ValueError(f"difference check needs p >= 5, got {p}")
-    report = partition_sums(p)
-    g = report.g
+    g = partition_sums(p).g
     angle = 2 * math.pi / p
     root = jacobi(2, p) * math.sqrt(p)
     if p % 4 == 1:
@@ -160,8 +155,6 @@ def difference_lemma_check(p: int) -> bool:
 
 def conjugacy_check(p: int) -> bool:
     """Cells with eps = (-1/p) are real; the other pair are conjugates."""
-    if p < 5:
-        raise ValueError(f"conjugacy check needs p >= 5, got {p}")
     g = partition_sums(p).g
     real_eps = jacobi(-1, p)
     real_ok = all(abs(g[_cell(real_eps, delta)].imag) < TOLERANCE for delta in (1, -1))

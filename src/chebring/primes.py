@@ -90,9 +90,9 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
+    f, tested = 5, 0  # tested: the cofactor at the last primality test
     while f * f <= n:
-        if is_prime(n):
+        if n != tested and is_prime(tested := n):  # re-test only once a factor came out
             break
         for p in (f, f + 2):
             while n % p == 0:

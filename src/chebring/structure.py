@@ -300,18 +300,27 @@ def _order(a: int, p: int, eps: int) -> int:
     return order
 
 
-def partition(p: int) -> PartitionTable:
-    """The four cells of R_p and every element's omega-order, two ways.
-
-    Route one reads the characters (eps, delta) from the Legendre table.
-    Route two, the Chebyshev walk, takes T_k(g), k = 1 ... n/2 - 1, for one g
-    of each eps with omega-order n = p - eps (one T-ladder, an exponent per
-    lane).  It must meet each residue of R_p once, with the table's eps and
-    delta = +1 exactly at even k; T_k(g) has omega-order n / gcd(k, n).
-    """
+def _character_cells(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, ...]]]:
+    """R_p ascending, its characters eps and delta from the Legendre table,
+    and the four cells: R_p masked at each (eps, delta) of CELLS."""
     chi = _legendre_table(p)
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     eps, delta = chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
+    sets = {key: tuple(a[(eps == e) & (delta == d)].tolist()) for key, (e, d) in CELLS.items()}
+    return a, eps, delta, sets
+
+
+def partition(p: int) -> PartitionTable:
+    """The four cells of R_p and every element's omega-order, two ways.
+
+    Route one, _character_cells, reads the cells off the Legendre table; the
+    sums and the shift refinement read only it.  Route two, the Chebyshev
+    walk, runs for the orders: T_k(g), k = 1 ... n/2 - 1, for one g of each
+    eps with omega-order n = p - eps (one T-ladder, an exponent per lane).
+    It must meet each residue of R_p once, with the table's eps and
+    delta = +1 exactly at even k; T_k(g) has omega-order n / gcd(k, n).
+    """
+    a, eps, delta, sets = _character_cells(p)
     lanes = []  # the (g, k, n) lane arrays of each walk
     for e in (1, -1):
         n = p - e
@@ -328,8 +337,6 @@ def partition(p: int) -> PartitionTable:
     bad = a[(met != 1) | (p - n != eps) | ((k % 2 == 0) != (delta == 1))]
     if bad.size:
         raise ArithmeticError(f"the Chebyshev walk mod {p} disagrees with the Legendre table at {bad[0]}")
-    cell = 2 * (eps < 0) + (delta < 0)  # index into CELLS
-    sets = {key: tuple(a[cell == i].tolist()) for i, key in enumerate(CELLS)}
     return PartitionTable(p, sets, dict(zip(a.tolist(), (n // np.gcd(k, n)).tolist())))
 
 
@@ -435,7 +442,7 @@ def residue_shift_refinement(p: int) -> ShiftRefinement:
     """
     if p < 5:
         raise ValueError(f"refinement needs p >= 5, got {p}")
-    table = partition(p)
+    *_, sets = _character_cells(p)
     q = {x * x % p for x in range(1, p)}
     n = set(range(1, p)) - q
     sign2 = jacobi(2, p)
@@ -453,13 +460,11 @@ def residue_shift_refinement(p: int) -> ShiftRefinement:
         kept = shifted - {1, p - 1}
         sym = {x for x in kept if (p - x) % p in kept}
         nonsym = kept - sym
-        if shift == 1:
-            cells = {eps: _cell(eps, eps * value) for eps in (1, -1)}
-        else:
-            cells = {eps: _cell(eps, value) for eps in (1, -1)}
-        sym_cell = cells[sign_minus1]
-        nonsym_cell = cells[-sign_minus1]
-        if sym != set(table.sets[sym_cell]) or nonsym != set(table.sets[nonsym_cell]):
+        # delta of the cell with a given eps: eps * value (shift +1) or value (shift -1)
+        sym_cell, nonsym_cell = (
+            _cell(e, e * value if shift == 1 else value) for e in (sign_minus1, -sign_minus1)
+        )
+        if sym != set(sets[sym_cell]) or nonsym != set(sets[nonsym_cell]):
             raise ArithmeticError(f"{source} does not split into cells at p={p}")
         splits.append(
             ShiftedSetSplit(

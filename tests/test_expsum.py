@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from chebring import structure
 from chebring.expsum import (
     TOLERANCE,
     conjugacy_check,
@@ -19,7 +20,7 @@ from chebring.expsum import (
 )
 from chebring.modarith import jacobi
 from chebring.primes import primes_in
-from chebring.structure import TABLE_CAP, ResourceLimitError, partition
+from chebring.structure import TABLE_CAP, ResourceLimitError, partition, residue_shift_refinement
 
 
 def test_epsilon_p():
@@ -107,8 +108,9 @@ def test_domain_validation():
         for bad in (1, 2, 9, 15):
             with pytest.raises(ValueError, match=f"modulus must be an odd prime, got {bad}$"):
                 fn(bad)
-    with pytest.raises(ValueError):
-        difference_lemma_check(3)
+    for check, bad in ((difference_lemma_check, 3), (difference_lemma_check, 4), (conjugacy_check, 3)):
+        with pytest.raises(ValueError, match=f"^partition sums need p >= 5, got {bad}$"):
+            check(bad)
 
 
 def test_table_cap_domain():
@@ -120,3 +122,21 @@ def test_table_cap_domain():
     p = max(primes_in(TABLE_CAP - 100, TABLE_CAP))
     assert difference_lemma_check(p)
     assert conjugacy_check(p)
+
+
+def test_cell_readers_run_no_walk(monkeypatch):
+    """The sums and the shift refinement read their cells off the Legendre
+    table; only partition, which gives the orders, runs the Chebyshev walk."""
+
+    def no_walk(*args):
+        raise AssertionError("the Chebyshev walk ran")
+
+    monkeypatch.setattr(structure, "_t_ladder_vec", no_walk)
+    p = 1009
+    assert partition_sums(p).p == p
+    assert difference_lemma_check(p)
+    assert conjugacy_check(p)
+    assert len(shifted_character_sums(p)) == 3
+    assert residue_shift_refinement(p).p == p
+    with pytest.raises(AssertionError, match="walk ran"):
+        partition(p)

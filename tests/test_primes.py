@@ -1,6 +1,7 @@
 """Scaffolding checks against sympy as an independent oracle."""
 
 import random
+import time
 
 import pytest
 import sympy
@@ -57,6 +58,16 @@ def test_factorize_random():
         for p, e in f.items():
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_large_factors_fast():
+    """Primality is re-tested only when a factor comes out, so trial division
+    to a 6-digit factor, or past a large prime cofactor, stays well under 1 s."""
+    cases = (1000003 * 999983, 3**5 * 1000003, 2 * ((1 << 61) - 1), 999983**2, (1 << 61) - 1)
+    start = time.perf_counter()
+    found = [factorize(n) for n in cases]
+    assert time.perf_counter() - start < 1.0
+    assert found == [dict(sympy.factorint(n)) for n in cases]
 
 
 def test_factorize_rejects_nonpositive():

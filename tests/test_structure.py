@@ -384,7 +384,7 @@ def test_shift_refinement_sweep():
 
 
 def test_cells_map_keys_to_signs():
-    assert list(structure.CELLS) == ["++", "+-", "-+", "--"]  # partition's cell index order
+    assert list(structure.CELLS) == ["++", "+-", "-+", "--"]  # the CLI's printing order
     for key, (eps, delta) in structure.CELLS.items():
         assert structure._cell(eps, delta) == key
 
