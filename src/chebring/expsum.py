@@ -6,7 +6,6 @@ sum S = sum ((a^2-1)/p) zeta^a over nonzero a.  Expanding the cell
 indicator through the two characters turns each g into a combination of
 Gauss sums plus (eps/4) S, so Weil's |S| <= 2 sqrt(p) yields
 |g| <= sqrt(p) + 5/4: square-root cancellation on sets of size ~p/4.
-The cells come from the Legendre table alone, with no Chebyshev walk.
 
 Everything here is double precision; every closed form is asserted
 against direct summation at 1e-9 tolerance, which holds on the domain:
@@ -20,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .modarith import jacobi
-from .structure import CELLS, _cell, _character_cells, _legendre_table
+from .structure import CELLS, _cell, _legendre_table, partition
 
 TOLERANCE = 1e-9
 
@@ -113,7 +112,7 @@ def partition_sums(p: int) -> ExpSumReport:
     """
     if p < 5:
         raise ValueError(f"partition sums need p >= 5, got {p}")
-    *_, sets = _character_cells(p)
+    table = partition(p)
     zp = zeta_powers(p)
     s = weil_sum(p)
     if abs(s) > 2 * math.sqrt(p) + TOLERANCE:
@@ -123,7 +122,7 @@ def partition_sums(p: int) -> ExpSumReport:
     whole = -2 * math.cos(2 * math.pi / p)  # zeta summed over R_p
     g: dict[str, complex] = {}
     for cell, (eps, delta) in CELLS.items():
-        direct = sum(zp[a] for a in sets[cell])
+        direct = sum(zp[a] for a in table.sets[cell])
         trick = (whole + eps * c_both + sign2 * (delta * c_plus + eps * delta * c_minus)) / 4
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")

@@ -314,9 +314,9 @@ def partition(p: int) -> PartitionTable:
     """The four cells of R_p and every element's omega-order, two ways.
 
     Route one, _character_cells, reads the cells off the Legendre table; the
-    sums and the shift refinement read only it.  Route two, the Chebyshev
-    walk, runs for the orders: T_k(g), k = 1 ... n/2 - 1, for one g of each
-    eps with omega-order n = p - eps (one T-ladder, an exponent per lane).
+    shift refinement reads only it.  Route two, the Chebyshev walk, is the
+    cross-check and gives the orders: T_k(g), k = 1 ... n/2 - 1, for one g
+    of each eps with omega-order n = p - eps (one T-ladder, a lane per k).
     It must meet each residue of R_p once, with the table's eps and
     delta = +1 exactly at even k; T_k(g) has omega-order n / gcd(k, n).
     """
