@@ -63,7 +63,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_characters(args) -> None:
-    ch = criteria.characters(args.a, args.p)
+    ch = structure.characters(args.a, args.p)
     rec = {"a": args.a, "p": args.p, "eps": ch.eps, "delta": ch.delta}
     _emit(args, [rec], [f"eps={ch.eps} delta={ch.delta}"])
 

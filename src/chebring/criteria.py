@@ -33,24 +33,12 @@ from .modarith import (
     _residues,
     _t_ladder_vec,
     cheb_t,
-    jacobi,
 )
 from .primes import _sieve_flags, is_prime
-from .structure import ResourceLimitError
+from .structure import CharPair, ResourceLimitError, _check_table_cap, characters
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
 SEARCH_CAP = 1 << 31  # search limits stay below it: every lane modulus fits the int64 kernels
-
-
-@dataclass(frozen=True)
-class CharPair:
-    """The two quadratic characters (eps, delta) attached to a residue.
-
-    eps = 0 exactly when a = +-1 mod p; delta = 0 exactly when a = -1.
-    """
-
-    eps: int
-    delta: int
 
 
 @dataclass(frozen=True)
@@ -70,14 +58,6 @@ class PseudoprimeVerdict:
 class WieferichHit:
     p: int
     base: int
-
-
-def characters(a: int, p: int) -> CharPair:
-    """(eps, delta) = ((a^2-1)/p), ((2(a+1))/p) as Jacobi symbols."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"characters need an odd modulus >= 3, got {p}")
-    a %= p
-    return CharPair(jacobi(a * a - 1, p), jacobi(2 * (a + 1), p))
 
 
 def _nondegenerate_characters(a: int, p: int) -> CharPair:
@@ -132,13 +112,15 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     Vectorized over all of R_p with one T-ladder to h = (p-1)/2: the two
     exponents (p -+ eps)/2 are h and h + 1, and with d = a^2 - 1 the U values
     come from d U_{j-1} = T_{j+1} - a T_j = a T_j - T_{j-1} without an
-    inverse.  Moduli must stay below 2^31 (int64 intermediate products).
+    inverse.  p is capped at TABLE_CAP (ResourceLimitError above), and in
+    squared mode p^2 must stay below 2^31 (int64 intermediate products).
     """
     m = p * p if squared else p
     if m >= 1 << 31:
         raise ValueError("modulus too large for the vectorized int64 path")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"characters need an odd modulus >= 3, got {p}")
+    _check_table_cap(p, "modulus")
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     half = (p - 1) // 2
     d = (a * a - 1) % p
@@ -241,14 +223,8 @@ def weak_pseudoprime_test(n: int, base: int) -> bool:
 
 
 def full_pseudoprime_test(n: int, base: int) -> PseudoprimeVerdict:
-    """Both Euler-criterion congruences evaluated at n with Jacobi characters."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("test defined for odd n >= 3")
-    if gcd(base * base - 1, n) > 1:
-        raise ValueError(f"base {base} shares a factor of {n} with base^2 - 1")
-    eps = jacobi(base * base - 1, n)
-    delta = jacobi(2 * (base + 1), n)
-    return PseudoprimeVerdict(n, base, "full", _euler_criterion(base, n, eps, delta)[0])
+    """euler_test(base, n) as a verdict: both Euler-criterion congruences at n."""
+    return PseudoprimeVerdict(n, base, "full", euler_test(base, n))
 
 
 def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
@@ -261,13 +237,8 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
     means the full test passed and no violation occurred.  Entries equal to
     n-1 are reported as -1 (profiles read 0, +-1 at the stabilized tail).
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("test defined for odd n >= 3")
-    if gcd(base * base - 1, n) > 1:
-        raise ValueError(f"base {base} shares a factor of {n} with base^2 - 1")
-    eps = jacobi(base * base - 1, n)
-    delta = jacobi(2 * (base + 1), n)
-    return _strong_verdict(n, base, *_euler_criterion(base, n, eps, delta))
+    ch = _nondegenerate_characters(base, n)
+    return _strong_verdict(n, base, *_euler_criterion(base, n, ch.eps, ch.delta))
 
 
 def _strong_verdict(n: int, base: int, endpoint_ok: bool, profile: list[int]) -> PseudoprimeVerdict:

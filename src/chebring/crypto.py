@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .modarith import cheb_t
@@ -36,11 +37,11 @@ class DhParty:
     secret: int
     sent: int
     received: int | None = None
-    shared: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.shared is not None and self.shared != cheb_t(self.received, self.secret, self.p):
-            raise ProtocolError("shared key does not match T_secret(received)")
+    @cached_property
+    def shared(self) -> int | None:
+        """T_secret(received) mod p, the shared key; None before a peer value arrives."""
+        return None if self.received is None else cheb_t(self.received, self.secret, self.p)
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,10 @@ def dh_keygen(p: int, g: int, secret: int) -> DhParty:
 
 
 def dh_finish(party: DhParty, peer_value: int) -> DhParty:
-    """Absorb the peer's value and derive the shared key."""
+    """Absorb the peer's value; the new snapshot derives the shared key."""
     if not 0 <= peer_value < party.p:
         raise ProtocolError(f"peer value {peer_value} outside [0, {party.p})")
-    shared = cheb_t(peer_value, party.secret, party.p)
-    return DhParty(party.p, party.g, party.secret, party.sent, peer_value, shared)
+    return DhParty(party.p, party.g, party.secret, party.sent, peer_value)
 
 
 def discrete_log_bruteforce(p: int, g: int, target: int) -> int | None:

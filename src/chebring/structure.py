@@ -20,11 +20,30 @@ from .modarith import _t_ladder_vec, cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
-TABLE_CAP = 1 << 18  # largest p for per-prime tables: at 262139 each caller takes under 1 s (2-CPU VM)
+TABLE_CAP = 1 << 18  # largest p for per-prime tables and scans: at 262139 each takes under 1 s (2-CPU VM)
 
 
 class ResourceLimitError(RuntimeError):
     """An input exceeds one of the package's size caps."""
+
+
+@dataclass(frozen=True)
+class CharPair:
+    """The two quadratic characters (eps, delta) attached to a residue.
+
+    eps = 0 exactly when a = +-1 mod p; delta = 0 exactly when a = -1.
+    """
+
+    eps: int
+    delta: int
+
+
+def characters(a: int, p: int) -> CharPair:
+    """(eps, delta) = ((a^2-1)/p), ((2(a+1))/p) as Jacobi symbols."""
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"characters need an odd modulus >= 3, got {p}")
+    a %= p
+    return CharPair(jacobi(a * a - 1, p), jacobi(2 * (a + 1), p))
 
 
 def _cell(eps: int, delta: int) -> str:
@@ -36,11 +55,15 @@ def _check_odd_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
+def _check_table_cap(p: int, noun: str = "prime") -> None:
+    if p > TABLE_CAP:
+        raise ResourceLimitError(f"{noun} {p} exceeds the table cap of {TABLE_CAP}")
+
+
 def _legendre_table(p: int) -> np.ndarray:
     """chi[x] = (x/p) for every x in [0, p), read off the squares."""
     _check_odd_prime(p)
-    if p > TABLE_CAP:
-        raise ResourceLimitError(f"prime {p} exceeds the table cap of {TABLE_CAP}")
+    _check_table_cap(p)
     chi = np.full(p, -1, dtype=np.int64)
     chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
     chi[0] = 0
@@ -358,10 +381,12 @@ def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
 
 
 def splitting_roots(d: int, p: int) -> tuple[int, ...]:
-    """Roots of the scaled real-cyclotomic polynomial mod p, ascending."""
+    """Roots of the scaled real-cyclotomic polynomial mod p, ascending; a scan of
+    every residue, so p is capped at TABLE_CAP (ResourceLimitError above)."""
     if d < 3:
         raise ValueError(f"splitting defined for d >= 3, got {d}")
     _check_odd_prime(p)
+    _check_table_cap(p)
     poly = real_cyclotomic(d)
     return tuple(a for a in range(p) if poly.evaluate(2 * a % p, p) == 0)
 
@@ -394,10 +419,8 @@ def character_transport_check(a: int, n: int, p: int) -> bool | None:
     t = cheb_t(a, n, p)
     if t == 1 or t == p - 1:
         return None
-    if jacobi(t * t - 1, p) != jacobi(a * a - 1, p):
-        return False
-    want = 1 if n % 2 == 0 else jacobi(2 * (a + 1), p)
-    return jacobi(2 * (t + 1), p) == want
+    before, after = characters(a, p), characters(t, p)
+    return after.eps == before.eps and after.delta == (1 if n % 2 == 0 else before.delta)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -245,6 +246,13 @@ def test_domain_errors_exit_1(capsys):
         assert (code, out, err) == (1, "", "error: degenerate base: gcd(4^2 - 1, 15) = 15\n")
     code, _, err = run(capsys, ["euler", "-a", "14", "-p", "15"])
     assert (code, err) == (1, "error: degenerate base: 14 = +-1 mod 15\n")
+
+
+def test_splitting_past_the_table_cap_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["splitting", "-d", "5", "-p", "1000000007"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: prime 1000000007 exceeds the table cap of 262144\n")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,7 +9,6 @@ import pytest
 from chebring.criteria import (
     SEARCH_CAP,
     PseudoprimeVerdict,
-    characters,
     euler_criterion_failures,
     euler_test,
     euler_test_modp2,
@@ -23,7 +22,7 @@ from chebring.criteria import (
 )
 from chebring.modarith import _ladder_tu, cheb_eval, jacobi
 from chebring.primes import is_prime, primes_in, primes_upto
-from chebring.structure import ResourceLimitError
+from chebring.structure import TABLE_CAP, ResourceLimitError, characters
 
 BASE2_FULL_PSEUDOPRIMES = [989, 2701, 10609, 11041, 15505, 18721, 18817]
 BASE2_WEAK_PSEUDOPRIMES_2000 = [209, 231, 399, 455, 901, 903, 923, 989, 1295, 1729, 1855]
@@ -101,6 +100,16 @@ def test_criterion_failures_modulus_cap():
     for p in (70_000, 46_341):  # 46_341 is the least p with p^2 >= 2^31
         with pytest.raises(ValueError, match="too large"):
             euler_criterion_failures(p, squared=True)
+
+
+def test_criterion_failures_table_cap():
+    """Past TABLE_CAP the lanes are never allocated: p-long int64 arrays at any
+    modulus below 2^31 would need on the order of 100 GB near the top."""
+    for p in (TABLE_CAP + 1, 1_000_003):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^modulus {p} exceeds the table cap of {TABLE_CAP}$"):
+            euler_criterion_failures(p)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_criterion_failures_reject_bad_modulus():
@@ -189,11 +198,32 @@ def test_criterion_tests_match_reference():
             assert strong.passed == (endpoint_ok and not violation), (n, base)
 
 
+def _outcome(test):
+    """A test's result, or the message of the ValueError it raises."""
+    try:
+        return test()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_full_test_is_euler_test():
+    for n in range(3, 2000, 2):
+        for base in (2, 3, 10, -7):
+            full = _outcome(lambda: full_pseudoprime_test(n, base).passed)
+            assert full == _outcome(lambda: euler_test(base, n)), (n, base)
+
+
+def test_degenerate_bases_name_the_cause():
+    for test in (full_pseudoprime_test, strong_profile):
+        with pytest.raises(ValueError, match=r"^degenerate base: gcd\(4\^2 - 1, 15\) = 15$"):
+            test(15, 4)
+        with pytest.raises(ValueError, match=r"^degenerate base: 14 = \+-1 mod 15$"):
+            test(15, 14)
+
+
 def test_pseudoprime_validation():
     with pytest.raises(ValueError):
         weak_pseudoprime_test(10, 2)
-    with pytest.raises(ValueError):
-        full_pseudoprime_test(15, 4)  # 4^2 - 1 shares 15
     with pytest.raises(ValueError):
         pseudoprime_search(2, 100, kind="sloppy")
     with pytest.raises(ValueError):

@@ -105,8 +105,14 @@ def test_dh_validation():
         dh_finish(party, 23)
     with pytest.raises(ProtocolError):
         dh_finish(party, -1)
-    with pytest.raises(ProtocolError):
-        DhParty(23, 19, 5, 10, received=13, shared=5)
+    with pytest.raises(TypeError):
+        DhParty(23, 19, 5, 10, received=13, shared=5)  # the key is derived, never passed
+
+
+def test_shared_key_is_derived():
+    assert DhParty(23, 19, 5, 10, received=13).shared == cheb_t(13, 5, 23)
+    assert dh_keygen(23, 19, 5).shared is None
+    assert "shared" not in repr(dh_finish(dh_keygen(23, 19, 5), 13))
 
 
 def test_dlog_goldens():

@@ -313,6 +313,15 @@ def test_splitting_golden():
         splitting_roots(2, 23)
 
 
+def test_splitting_table_cap():
+    """The residue scan stops at TABLE_CAP before the polynomial is built."""
+    for p in (min(primes_in(structure.TABLE_CAP, structure.TABLE_CAP + 100)), 1_000_000_007):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^prime {p} exceeds the table cap of {structure.TABLE_CAP}$"):
+            splitting_roots(5, p)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_splitting_roots_are_order_class():
     for p in primes_in(5, 100):
         classes = order_class_decomposition(p)
