@@ -115,11 +115,11 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     inverse.  p is capped at TABLE_CAP (ResourceLimitError above), and in
     squared mode p^2 must stay below 2^31 (int64 intermediate products).
     """
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"characters need an odd modulus >= 3, got {p}")
     m = p * p if squared else p
     if m >= 1 << 31:
         raise ValueError("modulus too large for the vectorized int64 path")
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"characters need an odd modulus >= 3, got {p}")
     _check_table_cap(p, "modulus")
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     half = (p - 1) // 2

@@ -10,6 +10,9 @@ Gauss sums plus (eps/4) S, so Weil's |S| <= 2 sqrt(p) yields
 Everything here is double precision; every closed form is asserted
 against direct summation at 1e-9 tolerance, which holds on the domain:
 odd primes up to structure.TABLE_CAP = 2^18 (ResourceLimitError above).
+The direct sums run on numpy arrays and add left to right from 0, as
+CPython 3.11's builtin sum does, so every float is bitwise equal to the
+per-residue Python loops they replace.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .modarith import jacobi
 from .structure import CELLS, _cell, _legendre_table, partition
 
 TOLERANCE = 1e-9
+_BLOCK = 256  # zeta_powers restarts from cmath.exp at every multiple of this
 
 
 @dataclass(frozen=True)
@@ -42,16 +48,27 @@ def epsilon_p(p: int) -> complex:
     return 1.0 if p % 4 == 1 else 1.0j
 
 
+def _zeta_array(p: int) -> np.ndarray:
+    """zeta^k for k in [0, p): each block of 256 starts from exp(2 pi i k / p)
+    and multiplies by zeta one step at a time, left to right (np.cumprod)."""
+    z = cmath.exp(2j * math.pi / p)
+    zp = np.full((-(-p // _BLOCK), _BLOCK), z)
+    zp[:, 0] = [1.0 + 0.0j, *(cmath.exp(2j * math.pi * k / p) for k in range(_BLOCK, p, _BLOCK))]
+    np.cumprod(zp, axis=1, out=zp)
+    return zp.ravel()[:p]
+
+
 def zeta_powers(p: int) -> list[complex]:
     """[zeta^0, ..., zeta^{p-1}], renormalized every 256 steps."""
-    z = cmath.exp(2j * math.pi / p)
-    out = [1.0 + 0.0j]
-    for k in range(1, p):
-        if k % 256 == 0:
-            out.append(cmath.exp(2j * math.pi * k / p))
-        else:
-            out.append(out[-1] * z)
-    return out
+    return _zeta_array(p).tolist()
+
+
+def _sum(x: np.ndarray) -> complex | int:
+    """The builtin sum(x), bit for bit: np.cumsum adds left to right from 0
+    as CPython 3.11's sum does (np.sum adds pairwise); the int 0 when empty."""
+    if x.size == 0:
+        return 0
+    return complex(np.cumsum(np.concatenate(([0j], x)))[-1])
 
 
 def gauss_sums(p: int) -> tuple[complex, complex]:
@@ -59,10 +76,9 @@ def gauss_sums(p: int) -> tuple[complex, complex]:
 
     Asserted against the classical evaluation (-1 +- eps_p sqrt(p))/2.
     """
-    chi = _legendre_table(p).tolist()
-    zp = zeta_powers(p)
-    g_r = sum(zp[a] for a in range(1, p) if chi[a] == 1)
-    g_n = sum(zp[a] for a in range(1, p) if chi[a] == -1)
+    chi = _legendre_table(p)
+    zp = _zeta_array(p)
+    g_r, g_n = _sum(zp[chi == 1]), _sum(zp[chi == -1])
     root = epsilon_p(p) * math.sqrt(p)
     if not (_close(g_r, (-1 + root) / 2) and _close(g_n, (-1 - root) / 2)):
         raise ArithmeticError(f"Gauss sum evaluation failed at p={p}")
@@ -71,31 +87,31 @@ def gauss_sums(p: int) -> tuple[complex, complex]:
 
 def weil_sum(p: int) -> complex:
     """S = sum over nonzero a of ((a^2-1)/p) zeta^a; |S| <= 2 sqrt(p)."""
-    chi = _legendre_table(p).tolist()
-    zp = zeta_powers(p)
-    return sum(chi[(a * a - 1) % p] * zp[a] for a in range(1, p))
+    chi = _legendre_table(p)
+    a = np.arange(1, p, dtype=np.int64)
+    return _sum(chi[(a * a - 1) % p] * _zeta_array(p)[1:])
 
 
-def _shifted_closed_forms(p: int, zp: list[complex], s: complex) -> tuple[complex, complex, complex]:
+def _shifted_closed_forms(p: int, zp: np.ndarray, s: complex) -> tuple[complex, complex, complex]:
     """(C_minus, C_plus, C_both), the closed forms of the shifted sums over R_p:
     sum ((a-1)/p) zeta^a = eps_p sqrt(p) zeta - ((-2)/p) zeta^{-1}
     sum ((a+1)/p) zeta^a = eps_p sqrt(p) zeta^{-1} - ((2)/p) zeta
     sum ((a^2-1)/p) zeta^a = ((-1)/p) + S
     """
     root = epsilon_p(p) * math.sqrt(p)
-    zeta, zeta_inv = zp[1], zp[p - 1]
+    zeta, zeta_inv = complex(zp[1]), complex(zp[p - 1])
     return root * zeta - jacobi(-2, p) * zeta_inv, root * zeta_inv - jacobi(2, p) * zeta, jacobi(-1, p) + s
 
 
 def shifted_character_sums(p: int) -> tuple[complex, complex, complex]:
     """The three shifted sums over R_p, asserted against their closed forms."""
-    chi = _legendre_table(p).tolist()
-    zp = zeta_powers(p)
-    domain = [0, *range(2, p - 1)]
+    chi = _legendre_table(p)
+    zp = _zeta_array(p)
+    a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
     sums = (
-        sum(chi[(a - 1) % p] * zp[a] for a in domain),
-        sum(chi[a + 1] * zp[a] for a in domain),
-        sum(chi[(a * a - 1) % p] * zp[a] for a in domain),
+        _sum(chi[(a - 1) % p] * zp[a]),
+        _sum(chi[a + 1] * zp[a]),
+        _sum(chi[(a * a - 1) % p] * zp[a]),
     )
     if not all(map(_close, sums, _shifted_closed_forms(p, zp, weil_sum(p)))):
         raise ArithmeticError(f"shifted character sums disagree at p={p}")
@@ -113,7 +129,7 @@ def partition_sums(p: int) -> ExpSumReport:
     if p < 5:
         raise ValueError(f"partition sums need p >= 5, got {p}")
     table = partition(p)
-    zp = zeta_powers(p)
+    zp = _zeta_array(p)
     s = weil_sum(p)
     if abs(s) > 2 * math.sqrt(p) + TOLERANCE:
         raise ArithmeticError(f"Weil bound violated at p={p}")
@@ -122,7 +138,7 @@ def partition_sums(p: int) -> ExpSumReport:
     whole = -2 * math.cos(2 * math.pi / p)  # zeta summed over R_p
     g: dict[str, complex] = {}
     for cell, (eps, delta) in CELLS.items():
-        direct = sum(zp[a] for a in table.sets[cell])
+        direct = _sum(zp[np.asarray(table.sets[cell], dtype=np.int64)])
         trick = (whole + eps * c_both + sign2 * (delta * c_plus + eps * delta * c_minus)) / 4
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")

@@ -131,6 +131,31 @@ def test_expsum_csv_golden(capsys):
     )
 
 
+def test_expsum_json_golden(capsys):
+    """Every digit of the sums; the empty ++ cell at p = 5 is the int 0, which
+    prints as [0, 0] (a complex zero would print [0.0, 0.0])."""
+    _, out, _ = run(capsys, ["expsum", "-p", "5", "--format", "json"])
+    assert out == (
+        '{"p": 5, "g": {'
+        '"++": [0, 0], '
+        '"+-": [1.0, 0.0], '
+        '"-+": [-0.8090169943749473, 0.5877852522924731], '
+        '"--": [-0.8090169943749475, -0.587785252292473]}, '
+        '"S": [1.618033988749895, -1.1102230246251565e-16], '
+        '"bound": 3.48606797749979, "max_ratio": 0.4472135954999579}\n'
+    )
+    _, out, _ = run(capsys, ["expsum", "-p", "23", "--format", "json"])
+    assert out == (
+        '{"p": 23, "g": {'
+        '"++": [1.3373065352821196, 2.174096154924162], '
+        '"+-": [1.3373065352821185, -2.1740961549241584], '
+        '"-+": [-2.1347325363023937, -1.1102230246251565e-16], '
+        '"--": [-2.4657151089574394, 7.771561172376096e-16]}, '
+        '"S": [8.275060715824072, 3.774758283725532e-15], '
+        '"bound": 6.045831523312719, "max_ratio": 0.5322259597023207}\n'
+    )
+
+
 def test_expsum_table_head(capsys):
     _, out, _ = run(capsys, ["expsum", "-p", "23"])
     lines = out.splitlines()

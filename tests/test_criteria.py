@@ -97,9 +97,15 @@ def test_criterion_failures_match_scalar_pairs():
 
 
 def test_criterion_failures_modulus_cap():
-    for p in (70_000, 46_341):  # 46_341 is the least p with p^2 >= 2^31
+    for p in (46_341, 70_001):  # 46_341 is the least p with p^2 >= 2^31
         with pytest.raises(ValueError, match="too large"):
             euler_criterion_failures(p, squared=True)
+
+
+def test_criterion_failures_even_modulus_named_first():
+    """An even p is refused for its parity, even where p^2 >= 2^31 as well."""
+    with pytest.raises(ValueError, match="^characters need an odd modulus >= 3, got 70000$"):
+        euler_criterion_failures(70_000, squared=True)
 
 
 def test_criterion_failures_table_cap():

@@ -22,6 +22,73 @@ from chebring.modarith import jacobi
 from chebring.primes import primes_in
 from chebring.structure import TABLE_CAP, ResourceLimitError, partition, residue_shift_refinement
 
+# (real.hex(), imag.hex()) of each sum, recorded from the per-residue Python
+# loops (CPython 3.11's builtin sum); the empty ++ cell at p = 5 is the int 0.
+# Cells by key, S (the report's and weil_sum's), the shifted sums over R_p
+# with ((a-1)/p), ((a+1)/p), ((a^2-1)/p), and the Gauss sums g_R, g_N.
+PINNED = {
+    5: {
+        "++": 0,
+        "+-": ("0x1.0000000000000p+0", "0x0.0p+0"),
+        "-+": ("-0x1.9e3779b97f4a7p-1", "0x1.2cf2304755a5ep-1"),
+        "--": ("-0x1.9e3779b97f4a8p-1", "-0x1.2cf2304755a5dp-1"),
+        "S": ("0x1.9e3779b97f4a8p+0", "-0x1.0000000000000p-53"),
+        "minus": ("0x1.0000000000000p+0", "0x1.2cf2304755a5ep+0"),
+        "plus": ("0x1.0000000000000p+0", "-0x1.2cf2304755a5ep+0"),
+        "both": ("0x1.4f1bbcdcbfa54p+1", "-0x1.0000000000000p-53"),
+        "R": ("0x1.3c6ef372fe94ep-1", "-0x1.0000000000000p-53"),
+        "N": ("-0x1.9e3779b97f4a8p+0", "0x1.0000000000000p-53"),
+    },
+    7: {
+        "++": ("-0x1.cd4bca9cb5c71p-1", "0x1.bc4c04d71abc5p-2"),
+        "+-": ("-0x1.cd4bca9cb5c72p-1", "-0x1.bc4c04d71abbfp-2"),
+        "-+": ("0x1.0000000000000p+0", "0x0.0p+0"),
+        "--": ("-0x1.c7b90e3024584p-2", "0x0.0p+0"),
+        "S": ("-0x1.5b5d8710acb11p+0", "0x1.0000000000000p-52"),
+        "minus": ("-0x1.71ee438c09160p+0", "0x1.bc4c04d71abc2p-1"),
+        "plus": ("0x1.71ee438c09161p+0", "0x1.bc4c04d71abc2p-1"),
+        "both": ("-0x1.2daec38856587p+1", "0x1.0000000000000p-52"),
+        "R": ("-0x1.fffffffffffffp-2", "0x1.52a7fa9d2f8eap+0"),
+        "N": ("-0x1.0000000000003p-1", "-0x1.52a7fa9d2f8ebp+0"),
+    },
+    23: {
+        "++": ("0x1.5659b899c386bp+0", "0x1.1648c865e11aap+1"),
+        "+-": ("0x1.5659b899c3866p+0", "-0x1.1648c865e11a2p+1"),
+        "-+": ("-0x1.113eea6e901dfp+1", "-0x1.0000000000000p-53"),
+        "--": ("-0x1.3b9c8d7d1cd5fp+1", "0x1.c000000000000p-51"),
+        "S": ("0x1.08cd4c215c1eap+3", "0x1.1000000000000p-48"),
+        "minus": ("-0x1.52ed187465beep-2", "0x1.1648c865e11a8p+2"),
+        "plus": ("0x1.52ed187465c04p-2", "0x1.1648c865e11a5p+2"),
+        "both": ("0x1.d19a9842b83d4p+2", "0x1.1000000000000p-48"),
+        "R": ("-0x1.fffffffffffcfp-2", "0x1.32eee75770419p+1"),
+        "N": ("-0x1.0000000000001p-1", "-0x1.32eee7577040bp+1"),
+    },
+    1049: {
+        "++": ("0x1.bfde8aed588dcp+2", "0x1.a0f0000000000p-45"),
+        "+-": ("-0x1.863c68ee1c4d8p+4", "0x1.39b8000000000p-43"),
+        "-+": ("0x1.ec89d7a27b652p+2", "-0x1.9991517a8192cp-4"),
+        "--": ("0x1.ec89d7a27b63cp+2", "0x1.9991517a84774p-4"),
+        "S": ("-0x1.0e44d90201eddp+5", "0x1.351c000000000p-44"),
+        "minus": ("0x1.f6340ba972711p+4", "0x1.9991517a82347p-3"),
+        "plus": ("0x1.f6340ba972719p+4", "-0x1.9991517a83cc5p-3"),
+        "both": ("-0x1.0644d90201edcp+5", "0x1.351c000000000p-44"),
+        "R": ("0x1.f6365a0f4a9e8p+3", "0x1.77ef000000000p-44"),
+        "N": ("-0x1.0b1b2d07a545fp+4", "0x1.aca4000000000p-43"),
+    },
+    262139: {
+        "++": ("-0x1.10643de93006bp+1", "-0x1.fffec18f436edp+7"),
+        "+-": ("-0x1.10643de92ecd2p+1", "0x1.fffec18f43256p+7"),
+        "-+": ("0x1.3e6cb648cde1dp-1", "-0x1.1e120fc000000p-37"),
+        "--": ("0x1.a25a9c83cd422p+0", "0x1.f59f380800000p-37"),
+        "S": ("-0x1.60c87bd3fb4bep+2", "0x1.2f4fe06000000p-40"),
+        "minus": ("-0x1.0324415ff5a02p+0", "0x1.fffec18f45fd6p+8"),
+        "plus": ("0x1.0324415ff96eap+0", "0x1.fffec18f45f3bp+8"),
+        "both": ("-0x1.a0c87bd3fb470p+2", "0x1.2f4fe06000000p-40"),
+        "R": ("-0x1.ffffffffe062ap-2", "0x1.fffebfff97490p+7"),
+        "N": ("-0x1.ffffffffaf9a8p-2", "-0x1.fffebfff98478p+7"),
+    },
+}
+
 
 def test_epsilon_p():
     assert epsilon_p(5) == 1.0
@@ -38,6 +105,28 @@ def test_zeta_powers():
         assert all(abs(abs(z) - 1.0) < 1e-12 for z in zp)
         assert abs(zp[1] ** p - 1.0) < 1e-9
         assert abs(zp[p - 1] - zp[1].conjugate()) < 1e-12
+
+
+@pytest.mark.parametrize("p", sorted(PINNED))
+def test_sums_pinned_bit_for_bit(p):
+    """Pinned literals, not the builtin sum: CPython 3.12+ changed how sum adds
+    floats, so a comparison with it would drift on newer interpreters."""
+
+    def bits(v):
+        if type(v) is int:
+            return v
+        assert type(v) is complex
+        return (v.real.hex(), v.imag.hex())
+
+    report = partition_sums(p)
+    got = {cell: bits(v) for cell, v in report.g.items()}
+    got["S"] = bits(report.S)
+    assert bits(weil_sum(p)) == got["S"]
+    got.update(zip(("minus", "plus", "both"), map(bits, shifted_character_sums(p))))
+    got.update(zip(("R", "N"), map(bits, gauss_sums(p))))
+    assert got == PINNED[p]
+    zp = zeta_powers(p)
+    assert type(zp) is list and all(type(z) is complex for z in zp)
 
 
 def test_gauss_sums_closed_form():
