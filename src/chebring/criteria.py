@@ -39,6 +39,7 @@ from .structure import CharPair, ResourceLimitError, _check_table_cap, character
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
 SEARCH_CAP = 1 << 31  # search limits stay below it: every lane modulus fits the int64 kernels
+MERSENNE_CAP = 4423  # largest Lucas-Lehmer exponent: p = 4423 takes 0.84-0.92 s (2-CPU VM), 9689 takes 8.3 s
 
 
 @dataclass(frozen=True)
@@ -315,12 +316,15 @@ def lucas_lehmer(p: int) -> bool:
     The iteration is the doubling chain s_k = 2 T_{2^k}(2); the final value
     is cross-checked against an independent pair evaluation of T_{2^(p-2)}(2).
     p = 2 is outside the iteration (s index would be negative) and returns
-    True directly since M_2 = 3 is prime.
+    True directly since M_2 = 3 is prime.  p above MERSENNE_CAP raises
+    ResourceLimitError before any squaring.
     """
     if p == 2:
         return True
     if p < 2 or not is_prime(p):
         raise ValueError(f"exponent must be prime, got {p}")
+    if p > MERSENNE_CAP:
+        raise ResourceLimitError(f"exponent {p} exceeds the Lucas-Lehmer cap of {MERSENNE_CAP}")
     mp = (1 << p) - 1
     s = 4 % mp
     for _ in range(p - 2):

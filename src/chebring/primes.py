@@ -1,7 +1,10 @@
-"""Prime-number scaffolding: sieve, deterministic Miller-Rabin, factoring.
+"""Prime-number scaffolding: sieve, Baillie-PSW primality, factoring.
 
 These are classical routines used as ground truth by the search and
-verification code; nothing here is specific to Chebyshev arithmetic.
+verification code.  is_prime is Baillie-PSW: a strong test to base 2, then
+the extra-strong Lucas test on the package's own V-ladder (modarith._lucas_v),
+with P = 2a and Q = 1 as in the paper's Chebyshev Euler criterion.  It is
+proven correct below 2^64, and no composite is known to pass it above.
 """
 
 from __future__ import annotations
@@ -11,15 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-# Deterministic witness sets for Miller-Rabin (Jaeschke / Sorenson-Webster).
-# First tuple is valid for n < 341_550_071_728_321 (~3.4e14), second for
-# n < 3.317e24.  Beyond that the fixed bases make the test probabilistic,
-# which is acceptable for the desk-scale scaffolding role it plays here.
-_MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17)
-_MR_SMALL_LIMIT = 341_550_071_728_321
-_MR_BASES_LARGE = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LARGE_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_BASES_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71)
+from .modarith import _lucas_v, jacobi
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -36,25 +31,59 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
+def _extra_strong_lucas(n: int, p: int) -> bool:
+    """True if odd n passes the extra-strong Lucas test with parameters (P, 1),
+    for a P with (P^2 - 4 / n) = -1.
+
+    With n + 1 = d*2^s, d odd: n passes if U_d = 0 and V_d = +-2, or if
+    V_{d*2^r} = 0 for some 0 <= r < s - 1 (all mod n).  The ladder runs at
+    a = P(n+1)/2, so that 2a = P mod n; U_d = 0 is read as P V_d = 2 V_{d+1},
+    which holds exactly when D U_d = 2 V_{d+1} - P V_d vanishes, D a unit.
+    """
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    v, w = _lucas_v(p * ((n + 1) // 2) % n, d, n)
+    v, w = v % n, w % n
+    if v in (2, n - 2) and (p * v - 2 * w) % n == 0:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below 3.3e24."""
+    """Baillie-PSW primality test.
+
+    Trial division by the primes below 41, a strong test to base 2, then the
+    extra-strong Lucas test with Q = 1 and the least P >= 3 with
+    (P^2 - 4 / n) = -1 (Baillie's parameters).  Proven correct below 2^64
+    (no base-2 strong pseudoprime there passes the Lucas step); above it the
+    answer may in principle be wrong for a composite, but no such composite
+    is known (Baillie-Fiori-Wagstaff 2021).
+    """
     if n < 2:
         return False
     for p in _TINY_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
+    if n < 41 * 41:
+        return True
+    d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_SMALL_LIMIT:
-        bases = _MR_BASES_SMALL
-    elif n < _MR_LARGE_LIMIT:
-        bases = _MR_BASES_LARGE
-    else:
-        bases = _MR_BASES_LARGE + _MR_BASES_EXTRA
-    return not any(_mr_witness(n, a, d, s) for a in bases)
+    if _mr_witness(n, 2, d, s) or isqrt(n) ** 2 == n:
+        return False  # a square would stall the parameter search below
+    p = 3
+    while (j := jacobi(p * p - 4, n)) != -1:
+        if j == 0 and (p * p - 4) % n:
+            return False  # gcd(p^2 - 4, n) is a proper factor of n
+        p += 1
+    return _extra_strong_lucas(n, p)
 
 
 def primes_upto(limit: int) -> list[int]:

@@ -280,6 +280,13 @@ def test_splitting_past_the_table_cap_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: prime 1000000007 exceeds the table cap of 262144\n")
 
 
+def test_lucas_lehmer_past_the_cap_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lucas-lehmer", "-p", "9689"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: exponent 9689 exceeds the Lucas-Lehmer cap of 4423\n")
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         [],

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from chebring.criteria import (
+    MERSENNE_CAP,
     SEARCH_CAP,
     PseudoprimeVerdict,
     euler_criterion_failures,
@@ -280,6 +281,8 @@ def test_lucas_lehmer_goldens():
     assert lucas_lehmer(127)
     with pytest.raises(ValueError):
         lucas_lehmer(9)
+    with pytest.raises(ResourceLimitError, match=f"^exponent 4441 exceeds the Lucas-Lehmer cap of {MERSENNE_CAP}$"):
+        lucas_lehmer(4441)  # the least prime past the cap
 
 
 def test_taxicab_goldens():

@@ -5,7 +5,9 @@ import time
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_extra_strong_lucas_prp, mr
 
+from chebring.criteria import lucas_lehmer
 from chebring.primes import (
     divisors,
     euler_phi,
@@ -35,16 +37,53 @@ def test_is_prime_small_range():
         assert is_prime(n) == sympy.isprime(n)
 
 
+# Strong pseudoprimes to the first k prime bases (OEIS A014233): each passes
+# the strong test to base 2, so the Lucas step must reject it.  A fixed table
+# of the first 12 prime bases passes 318665857834031151167461.
+STRONG_PSEUDOPRIMES_FIRST_BASES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+# Extra-strong Lucas pseudoprimes (OEIS A217719): base 2 must reject each.
+EXTRA_STRONG_LUCAS_PSEUDOPRIMES = (989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919, 75077)
+
+
+def test_is_prime_pseudoprime_table():
+    """Each table entry passes one half of BPSW and is composite (sympy's
+    isprime, and its own two halves, as oracles)."""
+    base2 = [n for n in range(3, 10**5, 2) if mr(n, [2]) and not sympy.isprime(n)]
+    assert len(base2) == 16
+    for n in STRONG_PSEUDOPRIMES_FIRST_BASES + EXTRA_STRONG_LUCAS_PSEUDOPRIMES + tuple(base2):
+        assert not sympy.isprime(n), n
+        assert not (mr(n, [2]) and is_extra_strong_lucas_prp(n)), n
+        assert not is_prime(n), n
+    assert all(mr(n, [2]) for n in STRONG_PSEUDOPRIMES_FIRST_BASES)
+    assert all(is_extra_strong_lucas_prp(n) and not mr(n, [2]) for n in EXTRA_STRONG_LUCAS_PSEUDOPRIMES)
+    assert not any(is_extra_strong_lucas_prp(n) for n in base2)
+
+
 def test_is_prime_random_large():
     rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randrange(10**9, 10**13)
-        assert is_prime(n) == sympy.isprime(n)
+    cases = [rng.randrange(10**9, 10**13) for _ in range(200)]
+    cases += [rng.getrandbits(bits) | (1 << (bits - 1)) | 1 for bits in (64, 128, 256) for _ in range(300)]
+    prime64 = [sympy.nextprime(rng.getrandbits(63) | (1 << 63)) for _ in range(100)]
+    cases += [a * b for a, b in zip(prime64[::2], prime64[1::2])]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_mersenne_sized():
-    m61 = (1 << 61) - 1
-    assert is_prime(m61)
+    """BPSW against the package's own Lucas-Lehmer route on every M_p, p < 608."""
+    for p in primes_upto(607):
+        assert is_prime((1 << p) - 1) == lucas_lehmer(p), p
     assert not is_prime((1 << 67) - 1)
 
 

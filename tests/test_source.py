@@ -32,15 +32,27 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement binds: a function, a class, or the
+    plain-name targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    stores = [node for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+    return [node.id for node in stores if isinstance(node.ctx, ast.Store)]
+
+
 def unreferenced_private(sources: dict[str, str]) -> list[str]:
-    """Module-level _-prefixed functions and classes that no statement
-    outside their own definition reads, in any of the given modules."""
+    """Module-level _-prefixed functions, classes and constants (dunders such
+    as __all__ excluded) that no statement outside their own definition
+    reads, in any of the given modules."""
     statements = [(name, stmt) for name, source in sources.items() for stmt in ast.parse(source).body]
     out = []
     for module, stmt in statements:
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
-            if not any(stmt.name in _used_names(other) for _, other in statements if other is not stmt):
-                out.append(f"{module}.{stmt.name}")
+        for name in _defined_names(stmt):
+            if name.startswith("_") and not name.startswith("__"):
+                if not any(name in _used_names(other) for _, other in statements if other is not stmt):
+                    out.append(f"{module}.{name}")
     return out
 
 
@@ -62,4 +74,6 @@ def test_checks_see_what_they_look_for():
     module += "@lru_cache\ndef f(x):\n    return np.sqrt(x)\n"
     assert unused_imports(module) == ["cached_property"]
     private = "def _used():\n    return 1\n\ndef _dead():\n    return _dead()\n\nclass _Gone:\n    pass\n"
-    assert unreferenced_private({"a": private, "b": "from .a import _used\n"}) == ["a._dead", "a._Gone"]
+    private += "_TABLE = (2, 3)\n_LIMIT: int = 5\n_DEAD_TABLE = (41, 43)\n__all__ = []\n"
+    b = "from .a import _used\n\ndef f(n):\n    return n < a._LIMIT and n in _TABLE\n"
+    assert unreferenced_private({"a": private, "b": b}) == ["a._dead", "a._Gone", "a._DEAD_TABLE"]
