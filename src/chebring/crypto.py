@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .modarith import cheb_t
+from .modarith import cheb_t, jacobi
 from .primes import primes_in
-from .structure import _check_odd_prime, omega_order
+from .structure import TABLE_CAP, _check_odd_prime, _check_table_cap, _order, omega_order
 
 
 class ProtocolError(Exception):
@@ -64,25 +64,30 @@ def primitive_root_search(a: int, prime_limit: int) -> PrimitiveRootReport:
 
     Scans odd primes ascending, skipping those dividing a^2 - 1 (where a
     degenerates to a fixed point).  A base of the form 2x^2 - 1 can never
-    be primitive; the search still runs but warns.
+    be primitive; the search still runs but warns.  Only a prime whose class
+    eps = ((a^2-1)/p) still lacks its least prime and where
+    delta = ((2(a+1))/p) = -1 gets an order test: delta = +1 puts the
+    omega-order inside (p - eps)/2.  The scan stops at TABLE_CAP; a limit
+    above it raises ResourceLimitError if the scan to the cap has not found
+    both primes.
     """
     if a in (0, 1, -1):
         raise ValueError("base must not be 0 or +-1")
     if is_chebyshev_square(a):
         warnings.warn(f"{a} = 2x^2 - 1 can never have full order", stacklevel=2)
-    least_minus = least_plus = None
-    for p in primes_in(3, prime_limit + 1):
+    least = {1: None, -1: None}  # eps -> least prime with omega-order p - eps
+    for p in primes_in(3, min(prime_limit, TABLE_CAP) + 1):
         am = a % p
         if am == 1 or am == p - 1:
             continue
-        order = omega_order(am, p)
-        if order == p - 1 and least_minus is None:
-            least_minus = p
-        if order == p + 1 and least_plus is None:
-            least_plus = p
-        if least_minus is not None and least_plus is not None:
-            break
-    return PrimitiveRootReport(a, least_minus, least_plus)
+        eps = jacobi(am * am - 1, p)
+        if least[eps] is None and jacobi(2 * (am + 1), p) == -1 and _order(am, p, eps) == p - eps:
+            least[eps] = p
+            if None not in least.values():
+                break
+    else:  # the scan ended without both primes: refuse a limit past the cap
+        _check_table_cap(prime_limit, "prime limit")
+    return PrimitiveRootReport(a, least[1], least[-1])
 
 
 def dh_keygen(p: int, g: int, secret: int) -> DhParty:

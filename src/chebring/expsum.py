@@ -13,6 +13,11 @@ odd primes up to structure.TABLE_CAP = 2^18 (ResourceLimitError above).
 The direct sums run on numpy arrays and add left to right from 0, as
 CPython 3.11's builtin sum does, so every float is bitwise equal to the
 per-residue Python loops they replace.
+
+The sums share two per-prime arrays, each built once and cached for the
+last prime: structure's Legendre table and the powers of zeta
+(_zeta_array, complex128, 4.2 MB at TABLE_CAP).  Both are read-only;
+zeta_powers hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .modarith import jacobi
-from .structure import CELLS, _cell, _legendre_table, partition
+from .structure import CELLS, _cell, _check_table_cap, _legendre_table, partition
 
 TOLERANCE = 1e-9
 _BLOCK = 256  # zeta_powers restarts from cmath.exp at every multiple of this
@@ -48,18 +54,25 @@ def epsilon_p(p: int) -> complex:
     return 1.0 if p % 4 == 1 else 1.0j
 
 
+@lru_cache(maxsize=1)
 def _zeta_array(p: int) -> np.ndarray:
     """zeta^k for k in [0, p): each block of 256 starts from exp(2 pi i k / p)
-    and multiplies by zeta one step at a time, left to right (np.cumprod)."""
+    and multiplies by zeta one step at a time, left to right (np.cumprod).
+    Read-only, cached per prime, so p is capped at TABLE_CAP."""
+    _check_table_cap(p)
     z = cmath.exp(2j * math.pi / p)
     zp = np.full((-(-p // _BLOCK), _BLOCK), z)
     zp[:, 0] = [1.0 + 0.0j, *(cmath.exp(2j * math.pi * k / p) for k in range(_BLOCK, p, _BLOCK))]
     np.cumprod(zp, axis=1, out=zp)
-    return zp.ravel()[:p]
+    out = zp.ravel()[:p]
+    out.setflags(write=False)
+    return out
 
 
 def zeta_powers(p: int) -> list[complex]:
-    """[zeta^0, ..., zeta^{p-1}], renormalized every 256 steps."""
+    """[zeta^0, ..., zeta^{p-1}], renormalized every 256 steps: a fresh list
+    from the cached array, so p is capped at TABLE_CAP (ResourceLimitError
+    above)."""
     return _zeta_array(p).tolist()
 
 

@@ -6,6 +6,14 @@ the cells decompose further into classes I_d of fixed omega-order d, and
 each I_d is exactly the root set of a scaled real-cyclotomic polynomial.
 The same cells reappear when the quadratic residues are shifted by +-1
 and split by the symmetry a -> p - a.
+
+Two per-prime arrays are built once and shared: the Legendre table
+(_legendre_table) and the omega-orders of the Chebyshev walk
+(_walk_orders); expsum keeps the powers of zeta the same way.  Each is an
+lru_cache of one prime, as every caller works on one prime at a time.  At
+TABLE_CAP the table and the orders (int64) take 2.1 MB each and the powers
+(complex128) 4.2 MB, so 8.4 MB at most.  The cached arrays are read-only,
+and every public result is a fresh object built from them per call.
 """
 
 from __future__ import annotations
@@ -60,13 +68,16 @@ def _check_table_cap(p: int, noun: str = "prime") -> None:
         raise ResourceLimitError(f"{noun} {p} exceeds the table cap of {TABLE_CAP}")
 
 
+@lru_cache(maxsize=1)
 def _legendre_table(p: int) -> np.ndarray:
-    """chi[x] = (x/p) for every x in [0, p), read off the squares."""
+    """chi[x] = (x/p) for every x in [0, p), read off the squares; read-only,
+    cached per prime."""
     _check_odd_prime(p)
     _check_table_cap(p)
     chi = np.full(p, -1, dtype=np.int64)
     chi[np.arange(p, dtype=np.int64) ** 2 % p] = 1
     chi[0] = 0
+    chi.setflags(write=False)
     return chi
 
 
@@ -323,27 +334,27 @@ def _order(a: int, p: int, eps: int) -> int:
     return order
 
 
-def _character_cells(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, ...]]]:
-    """R_p ascending, its characters eps and delta from the Legendre table,
-    and the four cells: R_p masked at each (eps, delta) of CELLS."""
+def _r_characters(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R_p ascending and its characters eps and delta, from the Legendre table."""
     chi = _legendre_table(p)
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
-    eps, delta = chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
-    sets = {key: tuple(a[(eps == e) & (delta == d)].tolist()) for key, (e, d) in CELLS.items()}
-    return a, eps, delta, sets
+    return a, chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
 
 
-def partition(p: int) -> PartitionTable:
-    """The four cells of R_p and every element's omega-order, two ways.
+def _character_cells(a: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> dict[str, tuple[int, ...]]:
+    """The four cells: R_p masked at each (eps, delta) of CELLS."""
+    return {key: tuple(a[(eps == e) & (delta == d)].tolist()) for key, (e, d) in CELLS.items()}
 
-    Route one, _character_cells, reads the cells off the Legendre table; the
-    shift refinement reads only it.  Route two, the Chebyshev walk, is the
-    cross-check and gives the orders: T_k(g), k = 1 ... n/2 - 1, for one g
-    of each eps with omega-order n = p - eps (one T-ladder, a lane per k).
-    It must meet each residue of R_p once, with the table's eps and
-    delta = +1 exactly at even k; T_k(g) has omega-order n / gcd(k, n).
+
+@lru_cache(maxsize=1)
+def _walk_orders(p: int) -> np.ndarray:
+    """The omega-order of each element of R_p, ascending, from the Chebyshev
+    walk: T_k(g), k = 1 ... n/2 - 1, for one g of each eps with omega-order
+    n = p - eps (one T-ladder, a lane per k).  The walk must meet each
+    residue of R_p once, with the table's eps and delta = +1 exactly at even
+    k; T_k(g) has omega-order n / gcd(k, n).  Read-only, cached per prime.
     """
-    a, eps, delta, sets = _character_cells(p)
+    a, eps, delta = _r_characters(p)
     lanes = []  # the (g, k, n) lane arrays of each walk
     for e in (1, -1):
         n = p - e
@@ -360,7 +371,24 @@ def partition(p: int) -> PartitionTable:
     bad = a[(met != 1) | (p - n != eps) | ((k % 2 == 0) != (delta == 1))]
     if bad.size:
         raise ArithmeticError(f"the Chebyshev walk mod {p} disagrees with the Legendre table at {bad[0]}")
-    return PartitionTable(p, sets, dict(zip(a.tolist(), (n // np.gcd(k, n)).tolist())))
+    orders = n // np.gcd(k, n)
+    orders.setflags(write=False)
+    return orders
+
+
+def partition(p: int) -> PartitionTable:
+    """The four cells of R_p and every element's omega-order, two ways.
+
+    Route one, _character_cells, reads the cells off the Legendre table; the
+    shift refinement reads only it.  Route two, the Chebyshev walk of
+    _walk_orders, is the cross-check and gives the orders.  Both read arrays
+    cached for the last prime (the table and the orders, 4.2 MB together at
+    TABLE_CAP), so repeated calls at one p walk once; each call returns a
+    fresh table.
+    """
+    a, eps, delta = _r_characters(p)
+    orders = dict(zip(a.tolist(), _walk_orders(p).tolist()))
+    return PartitionTable(p, _character_cells(a, eps, delta), orders)
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
@@ -465,9 +493,9 @@ def residue_shift_refinement(p: int) -> ShiftRefinement:
     """
     if p < 5:
         raise ValueError(f"refinement needs p >= 5, got {p}")
-    *_, sets = _character_cells(p)
-    q = {x * x % p for x in range(1, p)}
-    n = set(range(1, p)) - q
+    sets = _character_cells(*_r_characters(p))
+    chi = _legendre_table(p)
+    q, n = set(np.flatnonzero(chi == 1).tolist()), set(np.flatnonzero(chi == -1).tolist())
     sign2 = jacobi(2, p)
     sign_minus1 = jacobi(-1, p)
     plan = [

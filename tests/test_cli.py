@@ -287,6 +287,13 @@ def test_lucas_lehmer_past_the_cap_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: exponent 9689 exceeds the Lucas-Lehmer cap of 4423\n")
 
 
+def test_primroot_past_the_cap_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["primroot", "-a", "3", "--limit", "10000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: prime limit 10000000 exceeds the table cap of 262144\n")
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         [],

@@ -19,7 +19,7 @@ from chebring.crypto import (
 )
 from chebring.modarith import cheb_t
 from chebring.primes import primes_in
-from chebring.structure import omega_order
+from chebring.structure import TABLE_CAP, ResourceLimitError, omega_order
 
 # least prime with full order p-1 / p+1, scanned to 1000
 PRIMROOT_TABLE = {
@@ -66,6 +66,30 @@ def test_primitive_root_validation():
     for a in (0, 1, -1):
         with pytest.raises(ValueError):
             primitive_root_search(a, 100)
+
+
+@pytest.mark.filterwarnings("ignore:.*can never have full order")
+def test_primitive_root_scan_matches_every_order():
+    """The scan tests orders only where delta = -1; the least full-order
+    primes are those of the plain omega_order scan over every prime."""
+    for a in (*range(-12, -1), *range(2, 40)):
+        least = {}
+        for p in primes_in(3, 400):
+            if a % p not in (1, p - 1):
+                order = omega_order(a, p)
+                if order in (p - 1, p + 1):
+                    least.setdefault(order - p, p)
+        report = primitive_root_search(a, 400)
+        assert (report.least_p_minus, report.least_p_plus) == (least.get(-1), least.get(1)), a
+
+
+def test_primitive_root_limit_capped():
+    """A limit past TABLE_CAP is refused only when the scan to the cap has not
+    found both primes."""
+    with pytest.raises(ResourceLimitError, match=f"prime limit {TABLE_CAP + 1} exceeds the table cap"):
+        primitive_root_search(3, TABLE_CAP + 1)
+    report = primitive_root_search(2, 10**7)
+    assert (report.least_p_minus, report.least_p_plus) == (11, 7)
 
 
 def test_dh_golden_exchange():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from chebring import structure
+from chebring import expsum, structure
 from chebring.expsum import (
     TOLERANCE,
     conjugacy_check,
@@ -20,7 +20,13 @@ from chebring.expsum import (
 )
 from chebring.modarith import jacobi
 from chebring.primes import primes_in
-from chebring.structure import TABLE_CAP, ResourceLimitError, partition, residue_shift_refinement
+from chebring.structure import (
+    TABLE_CAP,
+    ResourceLimitError,
+    order_class_decomposition,
+    partition,
+    residue_shift_refinement,
+)
 
 # (real.hex(), imag.hex()) of each sum, recorded from the per-residue Python
 # loops (CPython 3.11's builtin sum); the empty ++ cell at p = 5 is the int 0.
@@ -207,13 +213,15 @@ def test_table_cap_domain():
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match=f"cap of {TABLE_CAP}"):
         gauss_sums(1_000_003)
+    with pytest.raises(ResourceLimitError, match=f"prime {TABLE_CAP + 1} exceeds the table cap of {TABLE_CAP}"):
+        zeta_powers(TABLE_CAP + 1)
     assert time.perf_counter() - start < 1.0
     p = max(primes_in(TABLE_CAP - 100, TABLE_CAP))
     assert difference_lemma_check(p)
     assert conjugacy_check(p)
 
 
-def test_cell_readers_run_no_walk(monkeypatch):
+def test_cell_readers_run_no_walk(monkeypatch, cold_caches):
     """The shifted sums and the shift refinement read their cells off the
     Legendre table; partition, which gives the orders, runs the Chebyshev walk."""
 
@@ -226,3 +234,30 @@ def test_cell_readers_run_no_walk(monkeypatch):
     assert residue_shift_refinement(p).p == p
     with pytest.raises(AssertionError, match="walk ran"):
         partition(p)
+
+
+def test_cached_zeta_powers_are_read_only_and_lists_fresh():
+    p = 101
+    with pytest.raises(ValueError, match="read-only"):
+        expsum._zeta_array(p)[1] = 0
+    powers = zeta_powers(p)
+    expected = list(powers)
+    powers[1] = 0j
+    powers.append(1j)
+    assert zeta_powers(p) == expected
+
+
+def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
+    """The four per-prime calls of a sweep share one Legendre table, one
+    array of zeta powers and one Chebyshev walk."""
+    real = structure._t_ladder_vec
+    walks = []
+    monkeypatch.setattr(structure, "_t_ladder_vec", lambda *args: walks.append(args[2]) or real(*args))
+    p = 1049
+    partition_sums(p)
+    difference_lemma_check(p)
+    shifted_character_sums(p)
+    order_class_decomposition(p)
+    assert walks == [p]
+    for cached in (structure._legendre_table, expsum._zeta_array, structure._walk_orders):
+        assert cached.cache_info().misses == 1, cached.__qualname__

@@ -1,6 +1,9 @@
 """Source hygiene of src/chebring: no unused imports, no unreferenced private code."""
 
 import ast
+import functools
+import gc
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebring"
@@ -77,3 +80,19 @@ def test_checks_see_what_they_look_for():
     private += "_TABLE = (2, 3)\n_LIMIT: int = 5\n_DEAD_TABLE = (41, 43)\n__all__ = []\n"
     b = "from .a import _used\n\ndef f(n):\n    return n < a._LIMIT and n in _TABLE\n"
     assert unreferenced_private({"a": private, "b": b}) == ["a._dead", "a._Gone", "a._DEAD_TABLE"]
+
+
+def test_every_cache_is_module_level(workloads):
+    """Each functools cache the package defines is one the benchmark resets
+    between ops: a module-level function, or a method of a module-level
+    class, listed in perfbench/workloads.CACHES."""
+    for path in SRC.glob("*.py"):
+        importlib.import_module(f"chebring.{path.stem}" if path.stem != "__init__" else "chebring")
+    defined = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, functools._lru_cache_wrapper) and (obj.__module__ or "").split(".")[0] == "chebring"
+    ]
+    assert {"_legendre_table", "_walk_orders", "_zeta_array"} <= {obj.__qualname__ for obj in defined}
+    reachable = {id(cache) for cache in workloads.CACHES}
+    assert [obj.__qualname__ for obj in defined if id(obj) not in reachable] == []

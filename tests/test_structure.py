@@ -95,8 +95,8 @@ def test_partition_sweep_consistent():
         assert sum(len(v) for v in table.sets.values()) == p - 2
 
 
-def test_partition_checks_its_prime_once(monkeypatch):
-    """One primality check per partition, not one per residue; the cells and
+def test_partition_checks_its_prime_once(monkeypatch, cold_caches):
+    """One primality check per partition on cold caches, not one per residue; the cells and
     orders run on vector lanes, and the only scalar cheb_t calls, as
     structure binds it, are the full-order tests of the walk's generators."""
     primality_calls, ladder_calls = [], []
@@ -124,7 +124,7 @@ def test_partition_matches_scalar_characters():
 
 
 @pytest.mark.parametrize("bad", [5, 19])  # cells ++ and -- at p = 23: eps = +1 and eps = -1
-def test_partition_second_route_is_live(monkeypatch, bad):
+def test_partition_second_route_is_live(monkeypatch, bad, cold_caches):
     """Corrupting the walk lane that meets one residue breaks partition there."""
     real = structure._t_ladder_vec
 
@@ -159,7 +159,7 @@ def test_order_classes_at_the_cap_are_fast():
     assert sum(len(members) for members in classes.values()) == p - 2
 
 
-def test_order_classes_follow_the_walk(monkeypatch):
+def test_order_classes_follow_the_walk(monkeypatch, cold_caches):
     """Two walk lanes swapped between an even and an odd step still meet
     every residue once, but break the parity rule, so the order classes
     never form on a walk that does not refine the cells."""
@@ -174,6 +174,22 @@ def test_order_classes_follow_the_walk(monkeypatch):
     monkeypatch.setattr(structure, "_t_ladder_vec", swapped)
     with pytest.raises(ArithmeticError, match="^the Chebyshev walk mod 23 disagrees with the Legendre table at 2$"):
         order_class_decomposition(23)
+
+
+def test_cached_arrays_are_read_only_and_results_fresh():
+    """The per-prime arrays are cached read-only, and each partition is a
+    fresh object: mutating one leaves the next call's result unchanged."""
+    p = 101
+    for cached in (structure._legendre_table(p), structure._walk_orders(p)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 7
+    first = partition(p)
+    expected = first.to_json()
+    first.orders[0] = 99
+    del first.orders[2]
+    first.sets["++"] = ()
+    first.sets.pop("--")
+    assert partition(p).to_json() == expected
 
 
 def test_table_cap():
