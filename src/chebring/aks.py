@@ -17,7 +17,7 @@ from math import comb, gcd
 from .primes import is_prime
 from .structure import IntPolynomial, ResourceLimitError, chebyshev_t_int
 
-DEGREE_CAP = 10_000
+DEGREE_CAP = 10_000  # every entry point; coefficient_formula at n = 10000 has up to 3826 digits
 
 
 def _check_cap(n: int) -> None:
@@ -85,6 +85,7 @@ def coefficient_formula(n: int, k: int) -> int:
     """
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
+    _check_cap(n)
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must lie in [1, {n // 2}], got {k}")
     d, rem = divmod(n * comb(n - k - 1, k - 1), k)

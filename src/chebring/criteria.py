@@ -1,14 +1,16 @@
 """Primality criteria on Chebyshev pairs.
 
 The central fact: for an odd prime p and a residue a with eps = ((a^2-1)/p)
-nonzero, writing delta = ((2(a+1))/p),
+nonzero, writing delta = ((2(a+1))/p) and k = (p-eps)/2,
 
-    T_{(p-eps)/2}(a) = delta  and  U_{(p-eps)/2 - 1}(a) = 0   (mod p)
-    T_{(p+eps)/2}(a) = delta*a and U_{(p+eps)/2 - 1}(a) = delta*eps (mod p)
+    T_k(a) = delta  and  U_{k-1}(a) = 0   (mod p),
 
-and the first T-congruence even holds mod p^2.  Composites that slip through
-the mod-n version of the test are the pseudoprimes hunted here; primes where
-the U-congruence also lifts to mod p^2 are the Wieferich-style exceptions.
+that is omega_a^k = delta for omega_a = a + sqrt(a^2-1); the T-congruence
+even holds mod p^2.  No test here checks the pair T = delta*a, U = delta*eps
+at (p+eps)/2 = k + eps, as it follows: omega_a^{k+-1} = delta*omega_a^{+-1}
+and omega_a^{-1} = a - sqrt(a^2-1).  Composites that slip through the mod-n
+test are the pseudoprimes hunted here; primes where the U-congruence also
+lifts to mod p^2 are the Wieferich-style exceptions.
 
 The single-n tests run the scalar ladder.  The two searches test every
 candidate of a chunk at once on int64 numpy lanes (modarith's lane helpers),
@@ -108,13 +110,14 @@ def euler_test_modp2(a: int, p: int) -> bool:
 def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     """Residues a in R_p violating the prime congruences; [] for primes.
 
-    Default mode checks all four mod-p congruences (both exponents
-    (p -+ eps)/2); squared=True checks the T = delta congruence mod p^2.
-    Vectorized over all of R_p with one T-ladder to h = (p-1)/2: the two
-    exponents (p -+ eps)/2 are h and h + 1, and with d = a^2 - 1 the U values
-    come from d U_{j-1} = T_{j+1} - a T_j = a T_j - T_{j-1} without an
-    inverse.  p is capped at TABLE_CAP (ResourceLimitError above), and in
-    squared mode p^2 must stay below 2^31 (int64 intermediate products).
+    With eps, delta by Euler's criterion mod p (not Jacobi symbols at a
+    composite p) and k = (p-eps)/2, default mode checks T_k = delta and
+    U_{k-1} = 0 mod p, which give the pair at (p+eps)/2 = k + eps through
+    omega_a^{k+-1} = delta omega_a^{+-1}; squared=True checks T_k = delta
+    mod p^2.  One T-ladder over R_p to a per-lane k; with d = a^2 - 1,
+    U_{k-1} = 0 is T_{k+1} = a T_k where d is a unit.  p is capped at
+    TABLE_CAP (ResourceLimitError above), and in squared mode p^2 must stay
+    below 2^31 (int64 intermediate products).
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"characters need an odd modulus >= 3, got {p}")
@@ -127,27 +130,14 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     d = (a * a - 1) % p
     eps = np.where(_pow_vec(d, half, p) == 1, 1, -1)
     delta = np.where(_pow_vec(2 * (a + 1) % p, half, p) == 1, 1, -1)
-
-    rows, t_next = _t_ladder_vec(a, half, m)  # T_h and T_{h+1} mod m
-    t_h = rows[-1]
-    minus = eps == 1  # lanes where (p-eps)/2 is h, the low exponent
-    t_at_minus = np.where(minus, t_h, t_next)
-    if squared:
-        ok = t_at_minus == delta % m
-        return sorted(int(x) for x in a[~ok])
-    du_lo = (t_next - a * t_h) % p  # d U_{h-1}
-    du_hi = (a * t_next - t_h) % p  # d U_h
-    # d U = c fixes U = c only where d is a unit.  Elsewhere p is composite with
-    # a prime q | gcd(d, p), a = +-1 mod q, and U_{j-1} = j a^(j-1) mod q for
-    # j = (p-eps)/2, nonzero as 2j = -eps mod q: those lanes fail.
-    ok = (
-        (np.gcd(d, p) == 1)
-        & (t_at_minus == delta % p)
-        & (np.where(minus, du_lo, du_hi) == 0)
-        & (np.where(minus, t_next, t_h) == delta * a % p)
-        & (np.where(minus, du_hi, du_lo) == d * delta * eps % p)
-    )
-    return sorted(int(x) for x in a[~ok])
+    rows, t_next = _t_ladder_vec(a, (p - eps) // 2, m)
+    ok = rows[-1] == delta % m
+    if not squared:
+        # U_{k-1} = 0 follows from d U_{k-1} = 0 only where d is a unit.  Elsewhere
+        # p is composite with a prime q | gcd(d, p), a = +-1 mod q, and
+        # U_{k-1} = k a^(k-1) mod q, nonzero as 2k = -eps mod q: those lanes fail.
+        ok &= (np.gcd(d, p) == 1) & (t_next == a * rows[-1] % p)
+    return a[~ok].tolist()
 
 
 # --- searches ---------------------------------------------------------------

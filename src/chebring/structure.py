@@ -29,6 +29,7 @@ from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
 TABLE_CAP = 1 << 18  # largest p for per-prime tables and scans: at 262139 each takes under 1 s (2-CPU VM)
+CYCLOTOMIC_CAP = 1400  # largest exact cyclotomic index: cyclotomic_factorization_check(1399) takes 1.0 s (2-CPU VM)
 
 
 class ResourceLimitError(RuntimeError):
@@ -66,6 +67,11 @@ def _check_odd_prime(p: int) -> None:
 def _check_table_cap(p: int, noun: str = "prime") -> None:
     if p > TABLE_CAP:
         raise ResourceLimitError(f"{noun} {p} exceeds the table cap of {TABLE_CAP}")
+
+
+def _check_cyclotomic_cap(d: int) -> None:
+    if d > CYCLOTOMIC_CAP:
+        raise ResourceLimitError(f"index {d} exceeds the cyclotomic cap of {CYCLOTOMIC_CAP}")
 
 
 @lru_cache(maxsize=1)
@@ -173,6 +179,7 @@ def _divexact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
+    _check_cyclotomic_cap(d)
     num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
     for e in divisors(d):
         if e < d:
@@ -181,7 +188,7 @@ def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
 
 
 def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial over the integers."""
+    """The d-th cyclotomic polynomial over the integers, for d <= CYCLOTOMIC_CAP."""
     if d < 1:
         raise ValueError(f"index must be >= 1, got {d}")
     return IntPolynomial(_cyclotomic_coeffs(d))
@@ -303,9 +310,10 @@ def _chebyshev_t_exact(n: int, shift: int) -> IntPolynomial:
 
 
 def cyclotomic_factorization_check(n: int) -> bool:
-    """Does the product of psi(d) over d | n equal T_n - 1 exactly?"""
+    """Does the product of psi(d) over d | n equal T_n - 1 exactly?  n <= CYCLOTOMIC_CAP."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
+    _check_cyclotomic_cap(n)
     prod = IntPolynomial.of([1])
     for d in divisors(n):
         prod = prod * psi(d)

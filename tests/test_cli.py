@@ -1,9 +1,12 @@
 """Command-line surface: golden table output, formats, exit codes."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +295,34 @@ def test_primroot_past_the_cap_exits_1(capsys):
     code, out, err = run(capsys, ["primroot", "-a", "3", "--limit", "10000000"])
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (1, "", "error: prime limit 10000000 exceeds the table cap of 262144\n")
+
+
+@pytest.mark.parametrize("argv", [["cyclo-check", "-n", "30000"], ["splitting", "-d", "9240", "-p", "23"]])
+def test_exact_polynomials_past_the_cap_exit_1(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"error: index {argv[2]} exceeds the cyclotomic cap of 1400\n")
+
+
+def test_coeff_past_the_cap_exits_1(capsys):
+    """Past DEGREE_CAP the error names the cap, not the interpreter's limit on
+    printing long integers."""
+    code, out, err = run(capsys, ["coeff", "-n", "14400", "-k", "1"])
+    assert (code, out, err) == (1, "", "error: degree 14400 exceeds the cap of 10000\n")
+
+
+def test_readme_transcripts(capsys):
+    """Every `$ chebring ...` line in README.md's code blocks prints exactly the
+    lines under it, up to the next blank line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, re.S | re.M)
+    examples = [ex for block in blocks for ex in block.split("\n\n") if ex.startswith("$ chebring ")]
+    assert examples
+    for example in examples:
+        command, *expected = example.rstrip("\n").split("\n")
+        code, out, err = run(capsys, shlex.split(command)[2:])
+        assert (code, out, err) == (0, "\n".join(expected) + "\n", ""), command
 
 
 def test_usage_errors_exit_2(capsys):

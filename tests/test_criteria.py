@@ -83,9 +83,12 @@ def test_criterion_failures_flag_a_composite():
 
 
 def test_criterion_failures_match_scalar_pairs():
-    """The lanes read U from d*U with d = a^2 - 1; at composites d may be no unit,
-    and the failures still equal those of the exact pairs from cheb_eval."""
-    for n in range(5, 400, 2):
+    """The lanes test two congruences at (n-eps)/2 and read U from d*U with
+    d = a^2 - 1; at composites d may be no unit, and the failures still equal
+    those of all four congruences on the exact pairs from cheb_eval.  The
+    Carmichael numbers up to 8911 add many lanes where the Euler-power
+    characters differ from the Jacobi symbol or gcd(d, n) > 1."""
+    for n in (*range(5, 400, 2), 561, 1105, 1729, 2465, 2821, 6601, 8911):
         h = (n - 1) // 2
         expected = []
         for a in (0, *range(2, n - 1)):
