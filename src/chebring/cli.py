@@ -17,7 +17,7 @@ import warnings
 
 from . import aks, criteria, crypto, expsum, structure
 from .modarith import cheb_eval
-from .primes import primes_in
+from .primes import euler_phi, primes_in
 
 
 def _emit(args, records: list[dict], table_lines: list[str]) -> None:
@@ -109,8 +109,8 @@ def _cmd_orders(args) -> None:
 
 
 def _cmd_splitting(args) -> None:
-    splits = structure.splitting_check(args.d, args.p)
     roots = structure.splitting_roots(args.d, args.p)
+    splits = len(roots) == euler_phi(args.d) // 2
     rec = {"d": args.d, "p": args.p, "splits": splits, "roots": list(roots)}
     roots_str = " ".join(str(r) for r in roots) if roots else "-"
     _emit(args, [rec], [f"d={args.d} p={args.p} splits={str(splits).lower()} roots: {roots_str}"])
@@ -185,6 +185,7 @@ def _sweep_record(report) -> dict:
 
 
 def _cmd_expsum_sweep(args) -> None:
+    structure._check_table_cap(args.max_p, "prime limit")
     recs, lines = [], []
     for p in primes_in(5, args.max_p + 1):
         report = expsum.partition_sums(p)

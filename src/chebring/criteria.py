@@ -148,21 +148,18 @@ def _check_search_cap(limit: int) -> None:
         raise ResourceLimitError(f"limit {limit} exceeds the search cap of {SEARCH_CAP - 1} (int64 lanes)")
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is None:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
-
-
 def _split_range(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
     step = max(1, -(-(hi - lo) // pieces))
     return [(x, min(x + step, hi)) for x in range(lo, hi, step)]
 
 
 def _run_chunks(worker, jobs: list, threads: int | None) -> list:
-    """[worker(job) for job in jobs], in job order, on a pool when threads allow."""
-    n = _worker_count(threads)
-    if n <= 1 or len(jobs) <= 1:
+    """[worker(job) for job in jobs], in job order, on a pool when threads allow.
+    The pool forks all its workers at the first submit, so their count is
+    threads (default: the CPU count) capped at the CPU count and at len(jobs)."""
+    cpus = os.cpu_count() or 1
+    n = min(cpus if threads is None else threads, cpus, len(jobs))
+    if n <= 1:
         return [worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=n) as pool:
         return list(pool.map(worker, jobs))

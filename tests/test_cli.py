@@ -283,6 +283,20 @@ def test_splitting_past_the_table_cap_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: prime 1000000007 exceeds the table cap of 262144\n")
 
 
+def test_splitting_near_the_caps_runs_in_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["splitting", "-d", "1399", "-p", "8389"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "d=1399 p=8389 splits=false roots: -\n")
+
+
+def test_expsum_sweep_past_the_table_cap_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["expsum-sweep", "--max", "1000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: prime limit 1000000 exceeds the table cap of 262144\n")
+
+
 def test_lucas_lehmer_past_the_cap_exits_1(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, ["lucas-lehmer", "-p", "9689"])

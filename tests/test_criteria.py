@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from chebring import criteria
 from chebring.criteria import (
     MERSENNE_CAP,
     SEARCH_CAP,
@@ -326,6 +327,33 @@ def test_pseudoprime_lanes_match_single_n_tests(base):
     """Every odd composite n in [9, 5000), all three kinds, verdicts and profiles."""
     for kind in ("weak", "full", "strong"):
         assert pseudoprime_search(base, 4999, kind, threads=1) == _scalar_scan(base, 4999, kind), kind
+
+
+@pytest.mark.parametrize("cpus", [3, 64])
+def test_pool_is_capped_at_cpus_and_chunks(monkeypatch, cpus):
+    """threads=10**6 asks for min(cpus, 5 chunks) workers.  The recording pool
+    runs map in-process, so no process starts."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(criteria, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(criteria.os, "cpu_count", lambda: cpus)
+    serial = pseudoprime_search(2, 100_000, threads=1)
+    assert asked == []
+    assert pseudoprime_search(2, 100_000, threads=10**6) == serial
+    assert asked == [min(cpus, 5)]
 
 
 def test_search_cap():
