@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .modarith import cheb_t, jacobi
+from .modarith import _t_walk, cheb_t, jacobi
 from .primes import primes_in
-from .structure import TABLE_CAP, _check_odd_prime, _check_table_cap, _order, omega_order
+from .structure import TABLE_CAP, ResourceLimitError, _check_odd_prime, _check_table_cap, _order
+
+DLOG_CAP = 1 << 22  # largest p for discrete_log_bruteforce: its worst case, p + 1 steps, takes about 1 s (2-CPU VM)
 
 
 class ProtocolError(Exception):
@@ -115,22 +117,21 @@ def dh_finish(party: DhParty, peer_value: int) -> DhParty:
 def discrete_log_bruteforce(p: int, g: int, target: int) -> int | None:
     """Least n >= 1 with T_n(g) = target mod p, or None within one period.
 
-    Forward three-term recurrence: one mulmod per step, ord_p(omega_g)
-    steps in the worst case.  Desk scale only.
+    One mulmod per step of _t_walk, up to the first T_n(g) = 1: n = ord(omega_g),
+    as T_n = 1 forces U_{n-1} = 0, so p - eps is never factored.  At most p + 1
+    steps, about 1 s at p = DLOG_CAP (ResourceLimitError above).
     """
     _check_odd_prime(p)
+    if p > DLOG_CAP:
+        raise ResourceLimitError(f"prime {p} exceeds the discrete-log cap of {DLOG_CAP}")
     g %= p
     if g == 1 or g == p - 1:
         raise ValueError(f"base {g} is a fixed point mod {p}")
     if not 0 <= target < p:
         raise ValueError(f"target {target} outside [0, {p})")
-    period = omega_order(g, p)
-    prev, cur = 1, g
-    for n in range(1, period + 1):
-        if cur == target:
-            return n
-        prev, cur = cur, (2 * g * cur - prev) % p
-    return None
+    for n, t in enumerate(_t_walk(g, p), 1):
+        if t == target or t == 1:
+            return n if t == target else None
 
 
 def encode_fields(*values: int) -> bytes:

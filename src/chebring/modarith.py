@@ -13,11 +13,12 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 
 and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
-two consecutive V terms.  The lane helpers run on int64 numpy lanes, one
-candidate per lane: _pow_vec (modpow), _jacobi_vec (Jacobi symbols) and
-_t_ladder_vec (the one vector Chebyshev ladder), with per-lane exponents and
-moduli below 2^31, or mod p^2 on two limbs.  All of it is exact integer
-arithmetic on canonical residues in [0, m).
+two consecutive V terms.  The values T_1(a), T_2(a), ... in a row are one
+walk of T_{k+1} = 2a T_k - T_{k-1} (_t_walk).  The lane helpers run on int64
+numpy lanes, one candidate per lane: _pow_vec (modpow), _jacobi_vec (Jacobi
+symbols) and _t_ladder_vec (the one vector Chebyshev ladder), with per-lane
+exponents and moduli below 2^31, or mod p^2 on two limbs.  All of it is exact
+integer arithmetic on canonical residues in [0, m).
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def _lucas_v(a: int, n: int, m: int) -> tuple[int, int]:
         else:
             v0, v1 = (v0 * v0 - 2) % mm, (v0 * v1 - p) % mm
     return v0, v1
+
+
+def _t_walk(a: int, m: int):
+    """T_1(a), T_2(a), ... mod m, without end, by T_{k+1} = 2a T_k - T_{k-1}."""
+    prev, cur = 1, a % m
+    while True:
+        yield cur
+        prev, cur = cur, (2 * a * cur - prev) % m
 
 
 def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modarith import _t_ladder_vec, cheb_t, jacobi
+from .modarith import _t_walk, cheb_t, jacobi
 from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
@@ -200,13 +200,8 @@ def real_cyclotomic(d: int) -> IntPolynomial:
     out = [c[h]] + [0] * h
     prev, cur = [2] + [0] * h, [0, 1] + [0] * (h - 1)  # D_0, D_1
     for k in range(1, h + 1):
-        for i in range(h + 1):
-            out[i] += c[h + k] * cur[i]
-        if k < h:
-            nxt = [-x for x in prev]
-            for i in range(h):
-                nxt[i + 1] += cur[i]
-            prev, cur = cur, nxt
+        out = [o + c[h + k] * x for o, x in zip(out, cur)]
+        prev, cur = cur, [-prev[0]] + [x - y for x, y in zip(cur, prev[1:])]
     return IntPolynomial.of(out)
 
 
@@ -347,21 +342,20 @@ def _character_cells(a: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> dict[
 @lru_cache(maxsize=1)
 def _walk_orders(p: int) -> np.ndarray:
     """The omega-order of each element of R_p, ascending, from the Chebyshev
-    walk: T_k(g), k = 1 ... n/2 - 1, for one g of each eps with omega-order
-    n = p - eps (one T-ladder, a lane per k).  The walk must meet each
+    walk: T_k(g), k = 1 ... n/2 - 1, by the three-term recurrence (_t_walk),
+    for one g of each eps with omega-order n = p - eps.  The walk must meet each
     residue of R_p once, with the table's eps and delta = +1 exactly at even
     k; T_k(g) has omega-order n / gcd(k, n).  Read-only, cached per prime.
     """
     a, eps, delta = _r_characters(p)
-    lanes = []  # the (g, k, n) lane arrays of each walk
+    lanes = []  # the (T_k(g), k, n) arrays of each walk
     for e in (1, -1):
         n = p - e
         if n > 2:  # at p = 3 the class eps = +1 is empty
             g = next(x for x in a[eps == e].tolist() if _order(x, p, e) == n)
             k = np.arange(1, n // 2, dtype=np.int64)
-            lanes.append((np.full_like(k, g), k, np.full_like(k, n)))
-    g, k, n = (np.concatenate(col) for col in zip(*lanes))
-    walk = _t_ladder_vec(g, k, p)[0][-1]
+            lanes.append((np.fromiter(_t_walk(g, p), np.int64, k.size), k, np.full_like(k, n)))
+    walk, k, n = (np.concatenate(col) for col in zip(*lanes))
     lane = np.zeros(p, dtype=np.int64)
     lane[walk] = np.arange(walk.size)
     k, n = k[lane[a]], n[lane[a]]  # the step and group order that met each a

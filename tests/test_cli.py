@@ -304,6 +304,13 @@ def test_lucas_lehmer_past_the_cap_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: exponent 9689 exceeds the Lucas-Lehmer cap of 4423\n")
 
 
+def test_dlog_past_the_cap_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["dlog", "-p", "1000000000000000003", "-g", "5", "-t", "7"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: prime 1000000000000000003 exceeds the discrete-log cap of 4194304\n")
+
+
 def test_primroot_past_the_cap_exits_1(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, ["primroot", "-a", "3", "--limit", "10000000"])

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebring import structure
 from chebring.crypto import (
+    DLOG_CAP,
     DhParty,
     ProtocolError,
     decode_fields,
@@ -157,6 +159,43 @@ def test_dlog_round_trip():
         assert found is not None
         assert cheb_t(g, found, p) == target
         assert found <= omega_order(g, p)
+
+
+def test_dlog_matches_the_period_bounded_walk():
+    """The walk that stops at T_n(g) = 1 answers as the old walk bounded by
+    omega_order(g, p), for every g and target at every odd prime below 60."""
+    for p in primes_in(3, 60):
+        for g in (0, *range(2, p - 1)):
+            period = omega_order(g, p)
+            first = {}
+            prev, cur = 1, g
+            for n in range(1, period + 1):
+                first.setdefault(cur, n)
+                prev, cur = cur, (2 * g * cur - prev) % p
+            for target in range(p):
+                assert discrete_log_bruteforce(p, g, target) == first.get(target), (p, g, target)
+
+
+def test_dlog_factors_nothing(monkeypatch):
+    """The walk finds the period itself, so p - eps is never factored: 7 is
+    in the other eps class from the full-order 5, so its walk runs the whole
+    period of 1000002 steps."""
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(structure, "prime_factors", no_factoring)
+    assert discrete_log_bruteforce(1000003, 5, 7) is None
+    assert discrete_log_bruteforce(1000003, 5, 4) == 228966
+
+
+def test_dlog_cap():
+    """The least prime past DLOG_CAP is refused before the walk's first step;
+    the largest prime below it still answers."""
+    above, below = min(primes_in(DLOG_CAP, DLOG_CAP + 100)), max(primes_in(DLOG_CAP - 100, DLOG_CAP))
+    with pytest.raises(ResourceLimitError, match=f"^prime {above} exceeds the discrete-log cap of {DLOG_CAP}$"):
+        discrete_log_bruteforce(above, 5, 7)
+    assert discrete_log_bruteforce(below, 5, 5) == 1
 
 
 def test_dlog_validation():

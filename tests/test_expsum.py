@@ -228,7 +228,7 @@ def test_cell_readers_run_no_walk(monkeypatch, cold_caches):
     def no_walk(*args):
         raise AssertionError("the Chebyshev walk ran")
 
-    monkeypatch.setattr(structure, "_t_ladder_vec", no_walk)
+    monkeypatch.setattr(structure, "_t_walk", no_walk)
     p = 1009
     assert len(shifted_character_sums(p)) == 3
     assert residue_shift_refinement(p).p == p
@@ -250,14 +250,14 @@ def test_cached_zeta_powers_are_read_only_and_lists_fresh():
 def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
     """The four per-prime calls of a sweep share one Legendre table, one
     array of zeta powers and one Chebyshev walk."""
-    real = structure._t_ladder_vec
+    real = structure._t_walk
     walks = []
-    monkeypatch.setattr(structure, "_t_ladder_vec", lambda *args: walks.append(args[2]) or real(*args))
+    monkeypatch.setattr(structure, "_t_walk", lambda *args: walks.append(args[1]) or real(*args))
     p = 1049
     partition_sums(p)
     difference_lemma_check(p)
     shifted_character_sums(p)
     order_class_decomposition(p)
-    assert walks == [p]
+    assert walks == [p, p]  # one walk per eps class
     for cached in (structure._legendre_table, expsum._zeta_array, structure._walk_orders):
         assert cached.cache_info().misses == 1, cached.__qualname__

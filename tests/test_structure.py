@@ -12,7 +12,7 @@ import sympy
 from sympy.abc import x
 
 from chebring import ResourceLimitError, structure
-from chebring.modarith import cheb_eval, cheb_t, jacobi
+from chebring.modarith import _t_ladder_vec, cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
 from chebring.structure import (
     IntPolynomial,
@@ -125,15 +125,13 @@ def test_partition_matches_scalar_characters():
 
 @pytest.mark.parametrize("bad", [5, 19])  # cells ++ and -- at p = 23: eps = +1 and eps = -1
 def test_partition_second_route_is_live(monkeypatch, bad, cold_caches):
-    """Corrupting the walk lane that meets one residue breaks partition there."""
-    real = structure._t_ladder_vec
+    """Corrupting the walk step that meets one residue breaks partition there."""
+    real = structure._t_walk
 
-    def corrupted(a, k, m):
-        rows, t1 = real(a, k, m)
-        rows[-1][rows[-1] == bad] = bad + 1
-        return rows, t1
+    def corrupted(g, p):
+        return (bad + 1 if t == bad else t for t in real(g, p))
 
-    monkeypatch.setattr(structure, "_t_ladder_vec", corrupted)
+    monkeypatch.setattr(structure, "_t_walk", corrupted)
     with pytest.raises(ArithmeticError, match=rf"^the Chebyshev walk mod 23 disagrees with .* table at {bad}$"):
         partition(23)
 
@@ -151,6 +149,33 @@ def test_walk_edge_primes():
             assert table.orders[a] == omega_order(a, p)
 
 
+def _ladder_walk_orders(p):
+    """The omega-orders of R_p from the lane ladder: T_k(g) on its own int64
+    lane for each step k, one full-order g per eps class."""
+    a, eps, _ = structure._r_characters(p)
+    walk, steps, groups = [], [], []
+    for e in (1, -1):
+        n = p - e
+        if n > 2:
+            g = next(x for x in a[eps == e].tolist() if omega_order(x, p) == n)
+            k = np.arange(1, n // 2, dtype=np.int64)
+            walk.append(_t_ladder_vec(np.full_like(k, g), k, p)[0][-1])
+            steps.append(k)
+            groups.append(np.full_like(k, n))
+    walk, k, n = np.concatenate(walk), np.concatenate(steps), np.concatenate(groups)
+    lane = np.zeros(p, dtype=np.int64)
+    lane[walk] = np.arange(walk.size)
+    k, n = k[lane[a]], n[lane[a]]
+    return n // np.gcd(k, n)
+
+
+def test_walk_orders_match_the_lane_ladder():
+    """The three-term walk gives the orders the lane ladder gives, at every
+    odd prime below 5000 and at the largest prime below TABLE_CAP."""
+    for p in (*primes_in(3, 5000), max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))):
+        assert np.array_equal(structure._walk_orders(p), _ladder_walk_orders(p)), p
+
+
 def test_order_classes_at_the_cap_are_fast():
     p = max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))  # 262139
     start = time.perf_counter()
@@ -160,18 +185,15 @@ def test_order_classes_at_the_cap_are_fast():
 
 
 def test_order_classes_follow_the_walk(monkeypatch, cold_caches):
-    """Two walk lanes swapped between an even and an odd step still meet
+    """Two walk values swapped between an even and an odd step still meet
     every residue once, but break the parity rule, so the order classes
     never form on a walk that does not refine the cells."""
-    real = structure._t_ladder_vec
+    real = structure._t_walk
 
-    def swapped(a, k, m):
-        rows, t1 = real(a, k, m)
-        two, six = rows[-1] == 2, rows[-1] == 6  # omega-orders 11 and 22 at p = 23
-        rows[-1][two], rows[-1][six] = 6, 2
-        return rows, t1
+    def swapped(g, p):
+        return ({2: 6, 6: 2}.get(t, t) for t in real(g, p))  # omega-orders 11 and 22 at p = 23
 
-    monkeypatch.setattr(structure, "_t_ladder_vec", swapped)
+    monkeypatch.setattr(structure, "_t_walk", swapped)
     with pytest.raises(ArithmeticError, match="^the Chebyshev walk mod 23 disagrees with the Legendre table at 2$"):
         order_class_decomposition(23)
 
