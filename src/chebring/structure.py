@@ -29,7 +29,7 @@ from .primes import divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
 TABLE_CAP = 1 << 18  # largest p for per-prime tables and scans: at 262139 each takes under 1 s (2-CPU VM)
-CYCLOTOMIC_CAP = 1400  # largest exact cyclotomic index: cyclotomic_factorization_check(1399) takes 1.0 s (2-CPU VM)
+CYCLOTOMIC_CAP = 1400  # largest exact cyclotomic index: cyclotomic_factorization_check(1399) takes about 0.8 s (2-CPU VM)
 
 
 class ResourceLimitError(RuntimeError):
@@ -225,15 +225,23 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
     doubles over the bits of n, carrying (T_k, T_{k+1}) in y = x + shift
     through T_{2k} = 2T_k^2 - 1 and T_{2k+1} = 2T_k T_{k+1} - y: O(log n)
     products, each reduced mod m, on int64 lanes for m below 2^30 and
-    Python-integer lanes otherwise.  Without one it steps the exact
-    three-term recurrence T_{k+1} = 2y T_k - T_{k-1}, dense O(n^2): exact
-    coefficients grow to n bits, where products cost more than the sums
-    of the recurrence.
+    Python-integer lanes otherwise.  Without one it writes the closed form
+    of T_n(x): 2^{n-1} x^n plus (-1)^k d_k 2^{n-2k-1} x^{n-2k} for k >= 1,
+    with the d_k from _d_chain, O(n) steps on integers of up to n bits.  A
+    shift without a modulus raises ValueError.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if modulus is None:
-        return _chebyshev_t_exact(n, shift)
+        if shift:
+            raise ValueError(f"shift {shift} needs a modulus: exact coefficients are built for T_n(x) only")
+        if n == 0:
+            return IntPolynomial((1,))
+        c = [0] * n + [1 << (n - 1)]
+        for k, d in enumerate(_d_chain(n), 1):
+            term = d << (n - 2 * k) >> 1  # d_k 2^{n-2k-1}, and d_{n/2} / 2 = 1 at 2k = n
+            c[n - 2 * k] = -term if k & 1 else term
+        return IntPolynomial(tuple(c))
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     dtype = np.int64 if modulus < 1 << 30 else object
@@ -276,22 +284,19 @@ def _mulmod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return (hi % m * ((1 << 30) % m) + mid % m * (1 << 15) + lo) % m
 
 
-def _chebyshev_t_exact(n: int, shift: int) -> IntPolynomial:
-    """T_n(x + shift) over the integers by the three-term recurrence."""
-    # Start from T_{-1} = T_1 = x + shift and T_0 = 1, so that n steps give T_n.
-    prev = np.zeros(n + 2, dtype=object)
-    prev[0], prev[1] = shift, 1
-    cur = np.zeros(n + 2, dtype=object)
-    cur[0] = 1
-    two_shift = 2 * shift
-    for _ in range(n):
-        nxt = np.zeros(n + 2, dtype=object)
-        nxt[1:] = 2 * cur[:-1]
-        if two_shift:
-            nxt += two_shift * cur
-        nxt -= prev
-        prev, cur = cur, nxt
-    return IntPolynomial.of(cur.tolist())
+def _d_chain(n: int):
+    """d_k = (n/k) C(n-k-1, k-1) for k = 1, ..., n // 2, so that the x^{n-2k}
+    coefficient of T_n(x) is (-1)^k d_k 2^{n-2k-1}: d_1 = n, then the ratio
+    d_{k+1} (k+1)(n-k-1) = d_k (n-2k)(n-2k-1), whose division is checked."""
+    if n < 2:
+        return
+    d = n
+    yield d
+    for k in range(1, n // 2):
+        d, rem = divmod(d * (n - 2 * k) * (n - 2 * k - 1), (k + 1) * (n - k - 1))
+        if rem:
+            raise ArithmeticError(f"coefficient recurrence broke at n={n}, k={k}")
+        yield d
 
 
 def cyclotomic_factorization_check(n: int) -> bool:

@@ -49,13 +49,38 @@ def test_poly_mod_validation():
     for m in (0, -5):
         with pytest.raises(ValueError, match="modulus must be >= 2"):
             chebyshev_t_int(5, 0, m)
+    with pytest.raises(ValueError) as refused:
+        chebyshev_t_int(5, 1)  # the exact build covers T_n(x) only
+    assert str(refused.value) == "shift 1 needs a modulus: exact coefficients are built for T_n(x) only"
     with pytest.raises(ResourceLimitError):
         chebyshev_poly_mod(DEGREE_CAP + 1)
     assert chebyshev_poly_mod(DEGREE_CAP, 10007).degree == DEGREE_CAP
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chebyshev_poly_mod(DEGREE_CAP),
+        lambda: chebyshev_poly_mod(DEGREE_CAP, 10007),
+        lambda: prime_iff_power_check(9973),  # the largest prime below DEGREE_CAP
+        lambda: shifted_congruence_check(9973, 1),
+        lambda: coefficient_formula(DEGREE_CAP, DEGREE_CAP // 4),
+    ],
+    ids=["exact", "mod-10007", "power-check", "shifted-check", "coefficient"],
+)
+def test_entry_points_within_budget_at_the_cap(call):
+    start = time.perf_counter()
+    call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_and_reduced_agree_at_the_cap():
+    exact = chebyshev_poly_mod(DEGREE_CAP).coefficients
+    assert chebyshev_poly_mod(DEGREE_CAP, 10007) == IntPolynomial.of(c % 10007 for c in exact)
+
+
 def test_power_check_matches_primality():
-    for n in range(2, 501):
+    for n in range(2, 3001):
         assert prime_iff_power_check(n) == is_prime(n), n
 
 
@@ -84,9 +109,7 @@ def test_shifted_check_edges():
         shifted_congruence_check(15, 3)  # shift shares a factor
     with pytest.raises(ResourceLimitError):
         shifted_congruence_check(DEGREE_CAP + 1, 1)
-    start = time.perf_counter()
-    assert shifted_congruence_check(9973, 1)  # the largest prime below DEGREE_CAP
-    assert time.perf_counter() - start < 1.0
+    assert shifted_congruence_check(9973, 1)  # the largest prime below DEGREE_CAP, timed in the budget test
 
 
 def test_coefficient_formula_goldens():
@@ -100,9 +123,9 @@ def test_coefficient_formula_goldens():
         coefficient_formula(5, 3)
 
 
-def test_coefficient_formula_matches_recurrence():
+def test_coefficient_formula_matches_recurrence(chebyshev_recurrence):
     for n in range(2, 201):
-        coeffs = chebyshev_t_int(n).coefficients
+        coeffs = chebyshev_recurrence(n).coefficients
         assert coeffs[n] == 2 ** (n - 1)  # leading term, outside the formula
         for k in range(1, n // 2 + 1):
             assert coefficient_formula(n, k) == coeffs[n - 2 * k], (n, k)

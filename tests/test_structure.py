@@ -307,24 +307,29 @@ def test_chebyshev_t_int_matches_sympy():
     for n in range(0, 40, 3):
         for shift in (-3, 1, 5):
             theirs = sympy.Poly(sympy.chebyshevt(n, x + shift), x).all_coeffs()[::-1]
-            assert list(chebyshev_t_int(n, shift).coefficients) == theirs
             for m in (2, 97, (1 << 30) - 35, (1 << 40) + 15):  # int64, 15-bit halves, exact
                 reduced = chebyshev_t_int(n, shift, m).coefficients
                 assert reduced == IntPolynomial.of(int(c) % m for c in theirs).coefficients
 
 
-def test_chebyshev_t_int_reduced_matches_exact_recurrence():
+def test_chebyshev_t_int_matches_exact_recurrence(chebyshev_recurrence):
+    """The closed-form coefficients against the three-term recurrence."""
+    for n in [*range(0, 301), 1399, 1400, 1459]:
+        assert chebyshev_t_int(n) == chebyshev_recurrence(n), n
+
+
+def test_chebyshev_t_int_reduced_matches_exact_recurrence(chebyshev_recurrence):
     """Doubling mod m against the exact recurrence reduced mod m, on every lane."""
     # At n = 200 the last product's shorter operand has 101 coefficients: one
     # int64 convolution up to the largest m with 101 (m-1)^2 < 2^63, halves past it.
     edge = math.isqrt((2**63 - 1) // 101) + 1
-    exact = chebyshev_t_int(200, 1).coefficients
+    exact = chebyshev_recurrence(200, 1).coefficients
     for m in (edge, edge + 1):
         worst = np.full(101, m - 1, dtype=np.int64)  # the largest sums a product can hold
         want = [min(i + 1, 201 - i) * (m - 1) ** 2 % m for i in range(201)]
         assert structure._mulmod(worst, worst, m).tolist() == want
         assert chebyshev_t_int(200, 1, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
-    exact = chebyshev_t_int(1459).coefficients  # a prime of the benchmark's poly band
+    exact = chebyshev_recurrence(1459).coefficients  # a prime of the benchmark's poly band
     for m in (1459, (1 << 30) - 35, (1 << 31) + 11):
         assert chebyshev_t_int(1459, 0, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
 
