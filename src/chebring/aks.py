@@ -16,22 +16,16 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .primes import is_prime
-from .structure import IntPolynomial, ResourceLimitError, _d_chain, chebyshev_t_int
+from . import structure
+from .structure import IntPolynomial, ResourceLimitError, _check_degree, _d_chain, chebyshev_t_int
 
-DEGREE_CAP = 10_000  # every entry point; each takes under 0.1 s at 10000, exact T_n 0.02 s (2-CPU VM)
-
-
-def _check_degree(n: int, least: int = 2) -> None:
-    """Every entry point's argument check: least <= n <= DEGREE_CAP."""
-    if n < least:
-        raise ValueError(f"index must be >= {least}, got {n}")
-    if n > DEGREE_CAP:
-        raise ResourceLimitError(f"degree {n} exceeds the cap of {DEGREE_CAP}")
+DEGREE_CAP = structure.DEGREE_CAP  # chebyshev_t_int's cap, which _check_degree applies at every entry point
+BINOMIAL_CAP = 2_000_000  # lucas_step_check's bound on the bits of C(n-p-1, p-1): about 0.6-0.9 s at it (2-CPU VM)
 
 
 def chebyshev_poly_mod(n: int, modulus: int | None = None) -> IntPolynomial:
-    """T_n(x) with coefficients reduced mod the modulus (exact if None)."""
-    _check_degree(n, 0)
+    """T_n(x) with coefficients reduced mod the modulus (exact if None), for
+    n <= DEGREE_CAP, which chebyshev_t_int checks."""
     return chebyshev_t_int(n, modulus=modulus)
 
 
@@ -96,7 +90,10 @@ def lucas_step_check(n: int, p: int) -> bool:
     """C(n-p-1, p-1) = 1 mod p for a prime p dividing the odd composite n.
 
     Exact binomial, reduced; the base-p digit argument (the lowest digit
-    of n-p-1 is p-1, all digits of p-1 fit) is asserted alongside.
+    of n-p-1 is p-1, all digits of p-1 fit) is asserted alongside.  The
+    binomial is below 2^((p-1) b), b the bit length of n-p-1; past
+    (p-1) b = BINOMIAL_CAP it raises ResourceLimitError unbuilt.  At the cap
+    math.comb takes 0.6-0.9 s at any n/p from 3 to 10^30 (2-CPU VM).
     """
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -106,4 +103,7 @@ def lucas_step_check(n: int, p: int) -> bool:
         raise ValueError(f"n must be an odd composite multiple of {p} with n/p >= 3")
     if (n - p - 1) % p != p - 1:
         raise ArithmeticError(f"lowest base-{p} digit of {n - p - 1} is not {p - 1}")
+    bits = (p - 1) * (n - p - 1).bit_length()
+    if bits > BINOMIAL_CAP:
+        raise ResourceLimitError(f"binomial bound of {bits} bits exceeds the cap of {BINOMIAL_CAP}")
     return comb(n - p - 1, p - 1) % p == 1

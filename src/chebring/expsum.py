@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modarith import jacobi
-from .structure import CELLS, _cell, _check_table_cap, _legendre_table, partition
+from .structure import CELLS, _cell, _check_table_cap, _legendre_table, _r_characters, partition
 
 TOLERANCE = 1e-9
 _BLOCK = 256  # zeta_powers restarts from cmath.exp at every multiple of this
@@ -72,7 +72,9 @@ def _zeta_array(p: int) -> np.ndarray:
 def zeta_powers(p: int) -> list[complex]:
     """[zeta^0, ..., zeta^{p-1}], renormalized every 256 steps: a fresh list
     from the cached array, so p is capped at TABLE_CAP (ResourceLimitError
-    above)."""
+    above; ValueError for p < 1)."""
+    if p < 1:
+        raise ValueError(f"modulus must be >= 1, got {p}")
     return _zeta_array(p).tolist()
 
 
@@ -117,15 +119,12 @@ def _shifted_closed_forms(p: int, zp: np.ndarray, s: complex) -> tuple[complex, 
 
 
 def shifted_character_sums(p: int) -> tuple[complex, complex, complex]:
-    """The three shifted sums over R_p, asserted against their closed forms."""
-    chi = _legendre_table(p)
+    """The three shifted sums over R_p, asserted against their closed forms; their
+    characters are ((a+1)/p) = (2/p) delta and ((a-1)/p) = (2/p) eps delta on R_p."""
+    a, eps, delta = _r_characters(p)
     zp = _zeta_array(p)
-    a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
-    sums = (
-        _sum(chi[(a - 1) % p] * zp[a]),
-        _sum(chi[a + 1] * zp[a]),
-        _sum(chi[(a * a - 1) % p] * zp[a]),
-    )
+    za, plus = zp[a], jacobi(2, p) * delta
+    sums = (_sum(plus * eps * za), _sum(plus * za), _sum(eps * za))
     if not all(map(_close, sums, _shifted_closed_forms(p, zp, weil_sum(p)))):
         raise ArithmeticError(f"shifted character sums disagree at p={p}")
     return sums

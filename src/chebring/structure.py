@@ -30,6 +30,7 @@ from .primes import divisors, euler_phi, is_prime, prime_factors
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
 TABLE_CAP = 1 << 18  # largest p for per-prime tables and scans: at 262139 each takes under 1 s (2-CPU VM)
 CYCLOTOMIC_CAP = 1400  # largest exact cyclotomic index: cyclotomic_factorization_check(1399) takes about 0.8 s (2-CPU VM)
+DEGREE_CAP = 10_000  # largest T_n and aks index; each aks entry point takes under 0.1 s at 10000, exact T_n 0.02 s (2-CPU VM)
 
 
 class ResourceLimitError(RuntimeError):
@@ -67,6 +68,14 @@ def _check_odd_prime(p: int) -> None:
 def _check_table_cap(p: int, noun: str = "prime") -> None:
     if p > TABLE_CAP:
         raise ResourceLimitError(f"{noun} {p} exceeds the table cap of {TABLE_CAP}")
+
+
+def _check_degree(n: int, least: int = 2) -> None:
+    """The check of chebyshev_t_int and every aks entry point: least <= n <= DEGREE_CAP."""
+    if n < least:
+        raise ValueError(f"index must be >= {least}, got {n}")
+    if n > DEGREE_CAP:
+        raise ResourceLimitError(f"degree {n} exceeds the cap of {DEGREE_CAP}")
 
 
 def _check_cyclotomic_cap(d: int) -> None:
@@ -228,10 +237,10 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
     Python-integer lanes otherwise.  Without one it writes the closed form
     of T_n(x): 2^{n-1} x^n plus (-1)^k d_k 2^{n-2k-1} x^{n-2k} for k >= 1,
     with the d_k from _d_chain, O(n) steps on integers of up to n bits.  A
-    shift without a modulus raises ValueError.
+    shift without a modulus raises ValueError, and n > DEGREE_CAP raises
+    ResourceLimitError: the exact coefficients of T_n take O(n^2) bits.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_degree(n, 0)
     if modulus is None:
         if shift:
             raise ValueError(f"shift {shift} needs a modulus: exact coefficients are built for T_n(x) only")
@@ -339,9 +348,9 @@ def _r_characters(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
 
 
-def _character_cells(a: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> dict[str, tuple[int, ...]]:
-    """The four cells: R_p masked at each (eps, delta) of CELLS."""
-    return {key: tuple(a[(eps == e) & (delta == d)].tolist()) for key, (e, d) in CELLS.items()}
+def _cell_masks(eps: np.ndarray, delta: np.ndarray) -> dict[str, np.ndarray]:
+    """The four cells as boolean masks over R_p, one per (eps, delta) of CELLS."""
+    return {key: (eps == e) & (delta == d) for key, (e, d) in CELLS.items()}
 
 
 @lru_cache(maxsize=1)
@@ -376,7 +385,7 @@ def _walk_orders(p: int) -> np.ndarray:
 def partition(p: int) -> PartitionTable:
     """The four cells of R_p and every element's omega-order, two ways.
 
-    Route one, _character_cells, reads the cells off the Legendre table; the
+    Route one, _cell_masks, reads the cells off the Legendre table; the
     shift refinement reads only it.  Route two, the Chebyshev walk of
     _walk_orders, is the cross-check and gives the orders.  Both read arrays
     cached for the last prime (the table and the orders, 4.2 MB together at
@@ -385,7 +394,8 @@ def partition(p: int) -> PartitionTable:
     """
     a, eps, delta = _r_characters(p)
     orders = dict(zip(a.tolist(), _walk_orders(p).tolist()))
-    return PartitionTable(p, _character_cells(a, eps, delta), orders)
+    sets = {key: tuple(a[mask].tolist()) for key, mask in _cell_masks(eps, delta).items()}
+    return PartitionTable(p, sets, orders)
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
@@ -493,47 +503,37 @@ class ShiftRefinement:
 def residue_shift_refinement(p: int) -> ShiftRefinement:
     """Split each of Q+-1 and N+-1 into two partition cells.
 
-    Membership of a in a shifted set fixes ((a -+ 1)/p), hence fixes
-    eps*delta (shift by +1) or delta (shift by -1); the symmetric part is
-    the cell with eps = (-1/p).  The derived cell labels are asserted
-    against the actual symmetric/complement split.
+    Each set is a mask over R_p: a lies in Q+s (N+s) when chi[a - s] = +1
+    (-1), and its mirror p - a when chi[-a - s] does.  Membership fixes
+    ((a -+ 1)/p), hence eps*delta (shift +1) or delta (shift -1); the
+    symmetric part is the cell with eps = (-1/p).  The derived cell labels
+    are asserted against _cell_masks.  0.10-0.13 s at p = 262139 (2-CPU VM).
     """
     if p < 5:
         raise ValueError(f"refinement needs p >= 5, got {p}")
-    sets = _character_cells(*_r_characters(p))
-    chi = _legendre_table(p)
-    q, n = set(np.flatnonzero(chi == 1).tolist()), set(np.flatnonzero(chi == -1).tolist())
-    sign2 = jacobi(2, p)
+    a, eps, delta = _r_characters(p)
+    chi, cells = _legendre_table(p), _cell_masks(eps, delta)
     sign_minus1 = jacobi(-1, p)
-    plan = [
-        ("Q+1", q, 1, sign2),  # eps*delta = (2/p)
-        ("Q-1", q, -1, sign2),  # delta = (2/p)
-        ("N+1", n, 1, -sign2),
-        ("N-1", n, -1, -sign2),
-    ]
     splits = []
-    for source, base_set, shift, value in plan:
-        shifted = {(x + shift) % p for x in base_set}
-        dropped = tuple(sorted(shifted & {1, p - 1}))
-        kept = shifted - {1, p - 1}
-        sym = {x for x in kept if (p - x) % p in kept}
-        nonsym = kept - sym
+    for source in ("Q+1", "Q-1", "N+1", "N-1"):
+        side, shift = (1 if source[0] == "Q" else -1), int(source[1:])
+        value = side * jacobi(2, p)  # eps*delta (shift +1) or delta (shift -1) on the set
+        kept, mirror = chi[(a - shift) % p] == side, chi[(-a - shift) % p] == side
+        sym, nonsym = kept & mirror, kept & ~mirror
         # delta of the cell with a given eps: eps * value (shift +1) or value (shift -1)
-        sym_cell, nonsym_cell = (
-            _cell(e, e * value if shift == 1 else value) for e in (sign_minus1, -sign_minus1)
-        )
-        if sym != set(sets[sym_cell]) or nonsym != set(sets[nonsym_cell]):
+        sym_cell, nonsym_cell = (_cell(e, e * value if shift == 1 else value) for e in (sign_minus1, -sign_minus1))
+        if not (np.array_equal(sym, cells[sym_cell]) and np.array_equal(nonsym, cells[nonsym_cell])):
             raise ArithmeticError(f"{source} does not split into cells at p={p}")
         splits.append(
             ShiftedSetSplit(
                 source=source,
-                dropped=dropped,
-                symmetric=tuple(sorted(sym)),
+                dropped=tuple(x for x in (1, p - 1) if chi[(x - shift) % p] == side),
+                symmetric=tuple(a[sym].tolist()),
                 symmetric_cell=sym_cell,
-                nonsymmetric=tuple(sorted(nonsym)),
+                nonsymmetric=tuple(a[nonsym].tolist()),
                 nonsymmetric_cell=nonsym_cell,
-                symmetric_shifted_back=tuple(sorted((x - shift) % p for x in sym)),
-                nonsymmetric_shifted_back=tuple(sorted((x - shift) % p for x in nonsym)),
+                symmetric_shifted_back=tuple(np.sort((a[sym] - shift) % p).tolist()),
+                nonsymmetric_shifted_back=tuple(np.sort((a[nonsym] - shift) % p).tolist()),
             )
         )
     return ShiftRefinement(p, tuple(splits))

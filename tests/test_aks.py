@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from chebring.aks import (
+    BINOMIAL_CAP,
     DEGREE_CAP,
     ResourceLimitError,
     chebyshev_poly_mod,
@@ -181,6 +182,27 @@ def test_lucas_step_validation():
         lucas_step_check(10, 5)  # even n
     with pytest.raises(ValueError):
         lucas_step_check(25, 25)
+
+
+def test_lucas_step_refuses_past_the_binomial_cap():
+    """The exact binomial is refused before it is built: at p = 300007 and
+    n = 3p, C(n-p-1, p-1) would take several seconds."""
+    p = 300007
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"exceeds the cap of {BINOMIAL_CAP}$"):
+        lucas_step_check(3 * p, p)
+    with pytest.raises(ResourceLimitError, match=f"exceeds the cap of {BINOMIAL_CAP}$"):
+        lucas_step_check((3 * 10**6 + 1) * 100003, 100003)  # a longer n at a smaller p
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("modulus", [None, 10007], ids=["exact", "mod-10007"])
+def test_chebyshev_t_int_refuses_past_the_degree_cap(modulus):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as refused:
+        chebyshev_t_int(DEGREE_CAP + 1, modulus=modulus)
+    assert str(refused.value) == f"degree {DEGREE_CAP + 1} exceeds the cap of {DEGREE_CAP}"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_modpolynomial_normalization():

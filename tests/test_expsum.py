@@ -208,6 +208,13 @@ def test_domain_validation():
             check(bad)
 
 
+def test_zeta_powers_refuse_moduli_below_one():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"^modulus must be >= 1, got {bad}$"):
+            zeta_powers(bad)
+    assert zeta_powers(1) == [1.0]
+
+
 def test_table_cap_domain():
     """Above the cap the sums refuse at once; just below it they still hold."""
     start = time.perf_counter()

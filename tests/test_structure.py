@@ -453,6 +453,76 @@ def test_shift_refinement_sweep():
             assert rebuilt == {(v + shift) % p for v in base}
 
 
+def _set_refinement(p):
+    """The refinement built from Python sets: Q and N read off the squares,
+    each shift applied elementwise, the mirror found by lookup, and each part
+    compared with the cells of partition(p).  The oracle of the mask build."""
+    sets = partition(p).sets
+    q = {v * v % p for v in range(1, p)}
+    n = set(range(1, p)) - q
+    sign2, sign_minus1 = jacobi(2, p), jacobi(-1, p)
+    splits = []
+    for source, base_set, shift, value in (
+        ("Q+1", q, 1, sign2),
+        ("Q-1", q, -1, sign2),
+        ("N+1", n, 1, -sign2),
+        ("N-1", n, -1, -sign2),
+    ):
+        shifted = {(v + shift) % p for v in base_set}
+        kept = shifted - {1, p - 1}
+        sym = {v for v in kept if (p - v) % p in kept}
+        nonsym = kept - sym
+        sym_cell, nonsym_cell = (structure._cell(e, e * value if shift == 1 else value) for e in (sign_minus1, -sign_minus1))
+        assert sym == set(sets[sym_cell]) and nonsym == set(sets[nonsym_cell]), (p, source)
+        splits.append(
+            structure.ShiftedSetSplit(
+                source=source,
+                dropped=tuple(sorted(shifted & {1, p - 1})),
+                symmetric=tuple(sorted(sym)),
+                symmetric_cell=sym_cell,
+                nonsymmetric=tuple(sorted(nonsym)),
+                nonsymmetric_cell=nonsym_cell,
+                symmetric_shifted_back=tuple(sorted((v - shift) % p for v in sym)),
+                nonsymmetric_shifted_back=tuple(sorted((v - shift) % p for v in nonsym)),
+            )
+        )
+    return structure.ShiftRefinement(p, tuple(splits))
+
+
+def test_shift_refinement_matches_set_oracle():
+    for p in [*primes_in(5, 3000), 100003, 262139]:
+        ref, want = residue_shift_refinement(p), _set_refinement(p)
+        assert ref.p == want.p == p
+        for got, exp in zip(ref.splits, want.splits, strict=True):
+            for field in dataclasses.fields(exp):
+                g, e = getattr(got, field.name), getattr(exp, field.name)
+                assert g == e and type(g) is type(e), (p, exp.source, field.name)
+                if isinstance(g, tuple):  # plain ints, not numpy scalars
+                    assert all(type(v) is int for v in g), (p, exp.source, field.name)
+
+
+def test_shift_refinement_label_check_is_live(monkeypatch):
+    """With two cells swapped the derived labels no longer match, so the
+    refinement must refuse rather than report the wrong cells."""
+    masks = structure._cell_masks
+
+    def swapped(eps, delta):
+        cells = masks(eps, delta)
+        cells["++"], cells["--"] = cells["--"], cells["++"]
+        return cells
+
+    monkeypatch.setattr(structure, "_cell_masks", swapped)
+    for p in (23, 1009):
+        with pytest.raises(ArithmeticError, match=f"does not split into cells at p={p}$"):
+            residue_shift_refinement(p)
+
+
+def test_shift_refinement_within_budget_at_the_cap(cold_caches):
+    start = time.perf_counter()
+    residue_shift_refinement(262139)  # the largest prime below TABLE_CAP
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cells_map_keys_to_signs():
     assert list(structure.CELLS) == ["++", "+-", "-+", "--"]  # the CLI's printing order
     for key, (eps, delta) in structure.CELLS.items():
