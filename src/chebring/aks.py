@@ -6,9 +6,11 @@ x^{n-2k} in T_n is (-1)^k d_k 2^{n-2k-1} with d_k = (n/k) C(n-k-1, k-1),
 so the whole check reduces to 2^{n-1} = 1 mod n plus a scan of the d_k;
 a composite n fails at k = its least prime factor, since n divides d_k
 whenever gcd(k, n) = 1.  The d_k come from structure._d_chain, the same
-ratio that builds the exact T_n in chebyshev_t_int.  The shifted variant
-T_n(x+a) = T_n(x) + a is checked with both sides built mod n by doubling,
-in O(log n) products of reduced polynomials.
+ratio that builds the exact T_n in chebyshev_t_int.  The polynomials mod m
+come from chebyshev_t_int on one of two routes: the doubling ladder on int64
+lanes, O(log n) reduced products, while (n // 2 + 1)(m - 1)^2 < 2^63, and the
+closed form reduced mod m past that bound.  The shifted variant
+T_n(x+a) = T_n(x) + a needs the ladder, and m = n <= DEGREE_CAP keeps it there.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ BINOMIAL_CAP = 2_000_000  # lucas_step_check's bound on the bits of C(n-p-1, p-1
 
 def chebyshev_poly_mod(n: int, modulus: int | None = None) -> IntPolynomial:
     """T_n(x) with coefficients reduced mod the modulus (exact if None), for
-    n <= DEGREE_CAP, which chebyshev_t_int checks."""
+    n <= DEGREE_CAP, which chebyshev_t_int checks: the int64 ladder while
+    (n // 2 + 1)(m - 1)^2 < 2^63, the closed form reduced past it."""
     return chebyshev_t_int(n, modulus=modulus)
 
 
@@ -51,9 +54,10 @@ def prime_iff_power_check(n: int) -> bool:
 def shifted_congruence_check(n: int, a: int = 1) -> bool:
     """Is T_n(x+a) = T_n(x) + a mod n?  True exactly for primes.
 
-    Both sides are built mod n by chebyshev_t_int, which doubles over the
-    bits of n: the left as T_n in y = x + a, the right from T_n(x) mod n;
-    coefficient vectors compared mod n.
+    Both sides are built mod n by chebyshev_t_int on its int64 ladder (at
+    n <= DEGREE_CAP, (n // 2 + 1)(n - 1)^2 stays below 2^63): the left as
+    T_n in y = x + a, the right from T_n(x) mod n; coefficient vectors
+    compared mod n.
     """
     _check_degree(n)
     a %= n

@@ -17,7 +17,7 @@ import warnings
 
 from . import aks, criteria, crypto, expsum, structure
 from .modarith import cheb_eval
-from .primes import euler_phi, primes_in
+from .primes import ResourceLimitError, euler_phi, primes_in
 
 
 def _emit(args, records: list[dict], table_lines: list[str]) -> None:
@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, ArithmeticError, crypto.ProtocolError, aks.ResourceLimitError) as exc:
+    except (ValueError, ArithmeticError, crypto.ProtocolError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

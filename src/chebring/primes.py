@@ -17,6 +17,12 @@ import numpy as np
 from .modarith import _lucas_v, jacobi
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+SIEVE_CAP = 1 << 24  # widest sieve window: [2, 2^24) takes 0.24 s (2-CPU VM)
+SIEVE_ROOT_CAP = 1 << 22  # largest sqrt(hi), the reach of its base primes: [2^44, 2^44 + 1000) takes 0.32 s
+
+
+class ResourceLimitError(RuntimeError):
+    """An input exceeds one of the package's size caps."""
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -103,10 +109,17 @@ def _sieve_flags(lo: int, hi: int) -> np.ndarray:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes in the half-open range [lo, hi) by segmented sieve."""
+    """Primes in the half-open range [lo, hi) by segmented sieve.  A window
+    wider than SIEVE_CAP, or one whose base primes pass SIEVE_ROOT_CAP, raises
+    ResourceLimitError before anything is allocated; at both caps at once, a
+    2^24-wide window at 2^44 takes 0.74 s (2-CPU VM)."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
+    if hi - lo > SIEVE_CAP:
+        raise ResourceLimitError(f"sieve window [{lo}, {hi}) is wider than the cap of {SIEVE_CAP}")
+    if isqrt(hi) > SIEVE_ROOT_CAP:
+        raise ResourceLimitError(f"sieve bound {hi} has a square root past the cap of {SIEVE_ROOT_CAP}")
     return (np.flatnonzero(_sieve_flags(lo, hi)) + lo).tolist()
 
 

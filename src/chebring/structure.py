@@ -25,16 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .modarith import _t_walk, cheb_t, jacobi
-from .primes import divisors, euler_phi, is_prime, prime_factors
+from .primes import ResourceLimitError, divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
 TABLE_CAP = 1 << 18  # largest p for per-prime tables and scans: at 262139 each takes under 1 s (2-CPU VM)
 CYCLOTOMIC_CAP = 1400  # largest exact cyclotomic index: cyclotomic_factorization_check(1399) takes about 0.8 s (2-CPU VM)
-DEGREE_CAP = 10_000  # largest T_n and aks index; each aks entry point takes under 0.1 s at 10000, exact T_n 0.02 s (2-CPU VM)
-
-
-class ResourceLimitError(RuntimeError):
-    """An input exceeds one of the package's size caps."""
+DEGREE_CAP = 10_000  # largest T_n and aks index; at 10000 exact T_n takes 0.02 s, T_n mod m at most 0.31 s (2-CPU VM)
 
 
 @dataclass(frozen=True)
@@ -230,31 +226,33 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
     """T_n(x + shift) as an integer polynomial, coefficients reduced mod the
     modulus when one is given.
 
-    The one polynomial routine of the package.  With a modulus m >= 2 it
-    doubles over the bits of n, carrying (T_k, T_{k+1}) in y = x + shift
-    through T_{2k} = 2T_k^2 - 1 and T_{2k+1} = 2T_k T_{k+1} - y: O(log n)
-    products, each reduced mod m, on int64 lanes for m below 2^30 and
-    Python-integer lanes otherwise.  Without one it writes the closed form
-    of T_n(x): 2^{n-1} x^n plus (-1)^k d_k 2^{n-2k-1} x^{n-2k} for k >= 1,
-    with the d_k from _d_chain, O(n) steps on integers of up to n bits.  A
-    shift without a modulus raises ValueError, and n > DEGREE_CAP raises
-    ResourceLimitError: the exact coefficients of T_n take O(n^2) bits.
+    The one polynomial routine of the package, on two routes picked from the
+    inputs alone.  The ladder runs when a modulus m >= 2 is given and
+    (n // 2 + 1)(m - 1)^2 < 2^63, which bounds the longest sum of any of its
+    convolutions on int64 lanes: it doubles over the bits of n, carrying
+    (T_k, T_{k+1}) in y = x + shift through T_{2k} = 2T_k^2 - 1 and
+    T_{2k+1} = 2T_k T_{k+1} - y, O(log n) products, each reduced mod m.
+    Otherwise the closed form of T_n(x) is written out: 2^{n-1} x^n plus
+    (-1)^k d_k 2^{n-2k-1} x^{n-2k} for k >= 1, with the d_k from _d_chain,
+    O(n) steps on integers of up to n bits, each reduced mod m if one is
+    given.  A shift needs the ladder, so it raises ValueError without a
+    modulus or past the bound.  n > DEGREE_CAP raises ResourceLimitError:
+    the exact coefficients of T_n take O(n^2) bits.
     """
     _check_degree(n, 0)
-    if modulus is None:
-        if shift:
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if modulus is None or (n // 2 + 1) * (modulus - 1) ** 2 >= 1 << 63:
+        if shift and modulus is None:
             raise ValueError(f"shift {shift} needs a modulus: exact coefficients are built for T_n(x) only")
-        if n == 0:
-            return IntPolynomial((1,))
-        c = [0] * n + [1 << (n - 1)]
+        if shift:
+            raise ValueError(f"shift {shift} needs int64 lanes, (n // 2 + 1)(m - 1)^2 < 2^63: m = {modulus} at n = {n}")
+        c = [0] * n + [1 << (n - 1)] if n else [1]
         for k, d in enumerate(_d_chain(n), 1):
             term = d << (n - 2 * k) >> 1  # d_k 2^{n-2k-1}, and d_{n/2} / 2 = 1 at 2k = n
             c[n - 2 * k] = -term if k & 1 else term
-        return IntPolynomial(tuple(c))
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    dtype = np.int64 if modulus < 1 << 30 else object
-    one, y = np.ones(1, dtype=dtype), np.array([shift % modulus, 1], dtype=dtype)
+        return IntPolynomial.of(c if modulus is None else (x % modulus for x in c))
+    one, y = np.ones(1, dtype=np.int64), np.array([shift % modulus, 1], dtype=np.int64)
     # (T_k, T_{k+1}) from k = 0 up to k = n // 2, then T_n by one product.
     k = n >> 1
     t0, t1 = one, y
@@ -268,29 +266,13 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
 
 
 def _twice_product(a: np.ndarray, b: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
-    """2ab - low mod m, for coefficient vectors with entries in [0, m)."""
-    out = _mulmod(a, b, m)
+    """2ab - low mod m, for int64 coefficient vectors with entries in [0, m)
+    and min(len(a), len(b)) (m - 1)^2 < 2^63, so the convolution is exact."""
+    out = np.convolve(a, b) % m
     out *= 2
     out[: len(low)] -= low
     out %= m
     return out
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """ab mod m for coefficient vectors with entries in [0, m).
-
-    On int64 lanes (m < 2^30) one convolution is exact while its longest
-    sum, min(len) terms below m^2 each, stays below 2^63; past that the
-    operands split into 15-bit halves, whose four convolutions sum terms
-    below 2^30.
-    """
-    if a.dtype == object or min(len(a), len(b)) * (m - 1) ** 2 < 1 << 63:
-        return np.convolve(a, b) % m
-    a0, a1, b0, b1 = a & 0x7FFF, a >> 15, b & 0x7FFF, b >> 15
-    lo = np.convolve(a0, b0)
-    mid = np.convolve(a0, b1) + np.convolve(a1, b0)
-    hi = np.convolve(a1, b1)
-    return (hi % m * ((1 << 30) % m) + mid % m * (1 << 15) + lo) % m
 
 
 def _d_chain(n: int):

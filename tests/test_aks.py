@@ -29,16 +29,17 @@ def test_poly_mod_goldens():
 
 
 def test_poly_mod_paths_agree():
-    """numpy path, bigint path, exact path reduced: all one polynomial."""
+    """The int64 ladder, the closed form reduced mod m and the exact closed
+    form: all one polynomial."""
     rng = random.Random(51)
-    halves = (1 << 30) - 35  # int64 lanes, products split into 15-bit halves
-    big = (1 << 31) + 11  # above the numpy cutoff
+    wide = (1 << 30) - 35  # the ladder up to n = 15, the closed form past it
+    big = (1 << 31) + 11  # the ladder at n < 2 only
     for _ in range(40):
         n = rng.randrange(0, 60)
         m = rng.randrange(2, 1000)
         exact = chebyshev_poly_mod(n).coefficients
         assert chebyshev_poly_mod(n, m) == IntPolynomial.of(c % m for c in exact)
-        assert chebyshev_poly_mod(n, halves) == IntPolynomial.of(c % halves for c in exact)
+        assert chebyshev_poly_mod(n, wide) == IntPolynomial.of(c % wide for c in exact)
         assert chebyshev_poly_mod(n, big) == IntPolynomial.of(c % big for c in exact)
 
 
@@ -62,12 +63,15 @@ def test_poly_mod_validation():
     "call",
     [
         lambda: chebyshev_poly_mod(DEGREE_CAP),
-        lambda: chebyshev_poly_mod(DEGREE_CAP, 10007),
+        lambda: chebyshev_poly_mod(DEGREE_CAP, 10007),  # the int64 ladder
+        lambda: chebyshev_poly_mod(DEGREE_CAP, (1 << 30) + 3),  # the closed form reduced, from here up
+        lambda: chebyshev_poly_mod(DEGREE_CAP, (1 << 61) - 1),
+        lambda: chebyshev_poly_mod(DEGREE_CAP, (1 << 4000) - 1),
         lambda: prime_iff_power_check(9973),  # the largest prime below DEGREE_CAP
         lambda: shifted_congruence_check(9973, 1),
         lambda: coefficient_formula(DEGREE_CAP, DEGREE_CAP // 4),
     ],
-    ids=["exact", "mod-10007", "power-check", "shifted-check", "coefficient"],
+    ids=["exact", "mod-10007", "mod-2^30+3", "mod-2^61-1", "mod-4000-bit", "power-check", "shifted-check", "coefficient"],
 )
 def test_entry_points_within_budget_at_the_cap(call):
     start = time.perf_counter()
@@ -77,7 +81,8 @@ def test_entry_points_within_budget_at_the_cap(call):
 
 def test_exact_and_reduced_agree_at_the_cap():
     exact = chebyshev_poly_mod(DEGREE_CAP).coefficients
-    assert chebyshev_poly_mod(DEGREE_CAP, 10007) == IntPolynomial.of(c % 10007 for c in exact)
+    for m in (10007, (1 << 30) + 3, (1 << 61) - 1, (1 << 4000) - 1):
+        assert chebyshev_poly_mod(DEGREE_CAP, m) == IntPolynomial.of(c % m for c in exact)
 
 
 def test_power_check_matches_primality():

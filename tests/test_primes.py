@@ -9,6 +9,9 @@ from sympy.ntheory.primetest import is_extra_strong_lucas_prp, mr
 
 from chebring.criteria import lucas_lehmer
 from chebring.primes import (
+    SIEVE_CAP,
+    SIEVE_ROOT_CAP,
+    ResourceLimitError,
     divisors,
     euler_phi,
     factorize,
@@ -30,6 +33,33 @@ def test_primes_in_matches_full_sieve():
     assert primes_in(5000, 6000) == list(sympy.primerange(5000, 6000))
     assert primes_in(97, 98) == [97]
     assert primes_in(50, 50) == []
+
+
+def test_sieve_caps_at_their_edges():
+    assert len(primes_in(2, 2 + SIEVE_CAP)) == 1_077_871  # pi(2^24 + 1), 2^24 + 1 = 97 * 257 * 673
+    top = (SIEVE_ROOT_CAP + 1) ** 2 - 1  # the largest hi with isqrt(hi) = SIEVE_ROOT_CAP
+    assert primes_in(top - 1000, top) == list(sympy.primerange(top - 1000, top))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: primes_in(2, 3 + SIEVE_CAP), f"sieve window [2, {3 + SIEVE_CAP}) is wider than the cap of {SIEVE_CAP}"),
+        (lambda: primes_upto(10**11), f"sieve window [2, {10**11 + 1}) is wider than the cap of {SIEVE_CAP}"),
+        (
+            lambda: primes_in((SIEVE_ROOT_CAP + 1) ** 2 - 1000, (SIEVE_ROOT_CAP + 1) ** 2),
+            f"sieve bound {(SIEVE_ROOT_CAP + 1) ** 2} has a square root past the cap of {SIEVE_ROOT_CAP}",
+        ),
+        (lambda: primes_in(1 << 48, (1 << 48) + 1000), f"sieve bound {(1 << 48) + 1000} has a square root past the cap of {SIEVE_ROOT_CAP}"),
+    ],
+    ids=["wide", "upto-1e11", "root-edge", "window-at-2^48"],
+)
+def test_sieve_refuses_past_its_caps(call, message):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as refused:
+        call()
+    assert str(refused.value) == message
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_prime_small_range():

@@ -305,9 +305,13 @@ def test_chebyshev_t_int_matches_sympy():
         theirs = sympy.Poly(sympy.chebyshevt(n, x), x).all_coeffs()[::-1]
         assert ours == theirs
     for n in range(0, 40, 3):
-        for shift in (-3, 1, 5):
+        for shift in (0, -3, 1, 5):
             theirs = sympy.Poly(sympy.chebyshevt(n, x + shift), x).all_coeffs()[::-1]
-            for m in (2, 97, (1 << 30) - 35, (1 << 40) + 15):  # int64, 15-bit halves, exact
+            for m in (2, 97, (1 << 30) - 35, (1 << 40) + 15):
+                if shift and (n // 2 + 1) * (m - 1) ** 2 >= 1 << 63:  # a shift needs the int64 ladder
+                    with pytest.raises(ValueError, match=f"^shift {shift} needs int64 lanes"):
+                        chebyshev_t_int(n, shift, m)
+                    continue
                 reduced = chebyshev_t_int(n, shift, m).coefficients
                 assert reduced == IntPolynomial.of(int(c) % m for c in theirs).coefficients
 
@@ -319,16 +323,21 @@ def test_chebyshev_t_int_matches_exact_recurrence(chebyshev_recurrence):
 
 
 def test_chebyshev_t_int_reduced_matches_exact_recurrence(chebyshev_recurrence):
-    """Doubling mod m against the exact recurrence reduced mod m, on every lane."""
-    # At n = 200 the last product's shorter operand has 101 coefficients: one
-    # int64 convolution up to the largest m with 101 (m-1)^2 < 2^63, halves past it.
+    """Both routes mod m against the exact recurrence reduced mod m, on each
+    side of the ladder's bound."""
+    # At n = 200 the last product's shorter operand has 101 coefficients: the
+    # int64 ladder up to the largest m with 101 (m-1)^2 < 2^63, the closed form past it.
     edge = math.isqrt((2**63 - 1) // 101) + 1
-    exact = chebyshev_recurrence(200, 1).coefficients
-    for m in (edge, edge + 1):
-        worst = np.full(101, m - 1, dtype=np.int64)  # the largest sums a product can hold
-        want = [min(i + 1, 201 - i) * (m - 1) ** 2 % m for i in range(201)]
-        assert structure._mulmod(worst, worst, m).tolist() == want
-        assert chebyshev_t_int(200, 1, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
+    worst = np.full(101, edge - 1, dtype=np.int64)  # the largest sums a product can hold
+    want = [(2 * min(i + 1, 201 - i) * (edge - 1) ** 2 - (i == 0)) % edge for i in range(201)]
+    assert structure._twice_product(worst, worst, np.ones(1, dtype=np.int64), edge).tolist() == want
+    for shift in (0, 1):
+        exact = chebyshev_recurrence(200, shift).coefficients
+        for m in (edge, edge + 1) if shift == 0 else (edge,):
+            assert chebyshev_t_int(200, shift, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
+    with pytest.raises(ValueError) as refused:
+        chebyshev_t_int(200, 1, edge + 1)
+    assert str(refused.value) == f"shift 1 needs int64 lanes, (n // 2 + 1)(m - 1)^2 < 2^63: m = {edge + 1} at n = 200"
     exact = chebyshev_recurrence(1459).coefficients  # a prime of the benchmark's poly band
     for m in (1459, (1 << 30) - 35, (1 << 31) + 11):
         assert chebyshev_t_int(1459, 0, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
