@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from chebring import criteria
+from chebring import criteria, modarith
 from chebring.criteria import (
     MERSENNE_CAP,
     SEARCH_CAP,
@@ -22,7 +22,7 @@ from chebring.criteria import (
     weak_pseudoprime_test,
     wieferich_search,
 )
-from chebring.modarith import _ladder_tu, cheb_eval, jacobi
+from chebring.modarith import _ladder_tu, cheb_eval, cheb_t, jacobi
 from chebring.primes import is_prime, primes_in, primes_upto
 from chebring.structure import TABLE_CAP, ResourceLimitError, characters
 
@@ -101,10 +101,23 @@ def test_criterion_failures_match_scalar_pairs():
         assert euler_criterion_failures(n) == expected, n
 
 
-def test_criterion_failures_modulus_cap():
-    for p in (46_341, 70_001):  # 46_341 is the least p with p^2 >= 2^31
-        with pytest.raises(ValueError, match="too large"):
-            euler_criterion_failures(p, squared=True)
+def test_criterion_failures_squared_past_2_31():
+    """Squared mode where p^2 >= 2^31 runs the ladder on two limbs: [] at the
+    prime 70001, and at 46341 = 3^2 * 19 * 271, the least p with p^2 >= 2^31,
+    a sampled residue fails exactly when T_k(a) != delta mod p^2 (scalar
+    cheb_t, eps and delta by Euler's criterion mod p); 0 is the one residue
+    that passes there."""
+    start = time.perf_counter()
+    assert euler_criterion_failures(70_001, squared=True) == []
+    assert time.perf_counter() - start < 1.0
+    p = 46_341
+    start = time.perf_counter()
+    failures = set(euler_criterion_failures(p, squared=True))
+    assert time.perf_counter() - start < 1.0
+    for a in [0, *random.Random(p).sample(range(2, p - 1), 200)]:
+        eps = 1 if pow(a * a - 1, (p - 1) // 2, p) == 1 else -1
+        delta = 1 if pow(2 * (a + 1), (p - 1) // 2, p) == 1 else -1
+        assert (a in failures) == (cheb_t(a, (p - eps) // 2, p * p) != delta % (p * p)), a
 
 
 def test_criterion_failures_even_modulus_named_first():
@@ -249,18 +262,32 @@ def test_wieferich_small_limits():
     assert wieferich_search(8, 10_000) == []
 
 
-def test_wieferich_matches_inverse_route():
+def test_wieferich_matches_inverse_route(monkeypatch):
     """The scan tests U = 0 mod p^2 without an inverse; _ladder_tu computes
     U_{(p-eps)/2 - 1} itself through the inverse of base^2 - 1.  Bases from
-    2^63 on overflow base % int64 lanes."""
-    wide = (1 << 63, (1 << 64) + 13, -(1 << 63) - 3, (1 << 70) + 3)
-    for base in (2, 3, 5, 6, 7, 10, 12, 13, 17, 18, -5, 10**12 + 39, *wide):
-        want = []
-        for p in primes_in(3, 20_000):
+    2^63 on overflow base % int64 lanes.  A chunk whose primes stop at 46337
+    (46337^2 < 2^31) runs its ladder on one limb, one reaching 46349 on two,
+    as the calls to _mulmod_p2 show; the bases 634770566 and 1124612139 are
+    hits at 46337 and at 46349."""
+    calls = []
+    mulmod = modarith._mulmod_p2
+    monkeypatch.setattr(modarith, "_mulmod_p2", lambda *args: calls.append(args) or mulmod(*args))
+
+    def want(base, lo, hi):
+        hits = []
+        for p in primes_in(lo, hi):
             eps = jacobi(base * base - 1, p)
             if base % p and eps and _ladder_tu(base % (p * p), (p - eps) // 2, p * p)[1] == 0:
-                want.append(p)
-        assert [h.p for h in wieferich_search(base, 20_000, threads=1)] == want, base
+                hits.append(p)
+        return hits
+
+    wide = (1 << 63, (1 << 64) + 13, -(1 << 63) - 3, (1 << 70) + 3)
+    for base in (2, 3, 5, 6, 7, 10, 12, 13, 17, 18, -5, 10**12 + 39, 634_770_566, 1_124_612_139, *wide):
+        assert [h.p for h in wieferich_search(base, 20_000, threads=1)] == want(base, 3, 20_000), base
+        for hi in (46_338, 46_400):
+            calls.clear()
+            assert [h.p for h in criteria._wieferich_chunk((base, 45_000, hi))] == want(base, 45_000, hi), (base, hi)
+            assert bool(calls) == (hi == 46_400), (base, hi)
 
 
 def test_wieferich_skips_degenerate_primes():

@@ -296,6 +296,10 @@ def test_pow_and_jacobi_lanes():
         assert symbols[i] == jacobi(int(x[i]), int(n[i]))
     assert _jacobi_vec(n * 5, n).tolist() == [0] * len(n)
     assert _pow_vec(x, 12345, 1_000_003).tolist() == [pow(int(v), 12345, 1_000_003) for v in x]
+    # every odd n < 200 with every x in [-n, 2n): each class of n mod 8 and of x mod 4
+    odd_n = np.array([v for v in range(3, 200, 2) for _ in range(3 * v)], dtype=np.int64)
+    xs = np.array([y for v in range(3, 200, 2) for y in range(-v, 2 * v)], dtype=np.int64)
+    assert _jacobi_vec(xs, odd_n).tolist() == [jacobi(int(y), int(v)) for y, v in zip(xs, odd_n)]
 
 
 def test_residues_of_wide_integers():
