@@ -20,7 +20,9 @@ from .modarith import cheb_eval
 from .primes import ResourceLimitError, euler_phi, primes_in
 
 
-def _emit(args, records: list[dict], table_lines: list[str]) -> None:
+def _emit(args, records: list[dict], table_lines: list[str], header: bool = True) -> None:
+    """Print the records in the chosen format; header=False leaves out the csv
+    header row, for a command that emits its records one call at a time."""
     if args.format == "table":
         for line in table_lines:
             print(line)
@@ -32,7 +34,8 @@ def _emit(args, records: list[dict], table_lines: list[str]) -> None:
             return
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(records[0].keys())
+        if header:
+            writer.writerow(records[0].keys())
         for rec in records:
             writer.writerow(_csv_cell(v) for v in rec.values())
         sys.stdout.write(buf.getvalue())
@@ -185,14 +188,13 @@ def _sweep_record(report) -> dict:
 
 
 def _cmd_expsum_sweep(args) -> None:
+    """One record per prime, printed and flushed as soon as it is computed,
+    so a sweep that fails partway has printed every record before the failure."""
     structure._check_table_cap(args.max_p, "prime limit")
-    recs, lines = [], []
-    for p in primes_in(5, args.max_p + 1):
-        report = expsum.partition_sums(p)
-        rec = _sweep_record(report)
-        recs.append(rec)
-        lines.append(" ".join(f"{k}={v}" for k, v in rec.items()))
-    _emit(args, recs, lines)
+    for i, p in enumerate(primes_in(5, args.max_p + 1)):
+        rec = _sweep_record(expsum.partition_sums(p))
+        _emit(args, [rec], [" ".join(f"{k}={v}" for k, v in rec.items())], header=i == 0)
+        sys.stdout.flush()
 
 
 def _cmd_primroot(args) -> None:

@@ -191,8 +191,8 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     Each chunk of the range runs as int64 lanes, one prime per lane: eps by
     Euler's criterion mod p, then the T-ladder mod p^2, with one int64
     product per step while the chunk's primes stop at 46337 (46337^2 < 2^31)
-    and two limbs once one passes it.  The first chunk runs from 3 to the
-    limit or past 200000, so only a limit below 46349 stays on one limb.
+    and two limbs once one passes it.  The first chunk stops at 46337, so
+    its primes stay on one limb whatever the limit.
     A limit of SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With
     threads=1, base 3 to 10^7 took 2.0-2.4 s on a 2-CPU VM; to SEARCH_CAP it
     would take about 7 minutes (extrapolated from 10^6-wide windows up to the
@@ -203,7 +203,9 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     if limit < 3:
         raise ValueError("limit must be >= 3")
     _check_search_cap(limit)
-    jobs = [(base, lo, hi) for lo, hi in _split_range(3, limit + 1, max(1, (limit + 1) // 200_000))]
+    edge = min(limit + 1, 46_338)  # the one-limb primes, 46337^2 < 2^31
+    ranges = [(3, edge), *_split_range(edge, limit + 1, max(1, (limit + 1) // 200_000))]
+    jobs = [(base, lo, hi) for lo, hi in ranges]
     return [hit for chunk in _run_chunks(_wieferich_chunk, jobs, threads) for hit in chunk]
 
 

@@ -14,10 +14,12 @@ The direct sums run on numpy arrays and add left to right from 0, as
 CPython 3.11's builtin sum does, so every float is bitwise equal to the
 per-residue Python loops they replace.
 
-The sums share two per-prime arrays, each built once and cached for the
-last prime: structure's Legendre table and the powers of zeta
-(_zeta_array, complex128, 4.2 MB at TABLE_CAP).  Both are read-only;
-zeta_powers hands out a fresh list.
+The sums share per-prime data, each piece built once and cached for the
+last prime: structure's Legendre table, R_p with its characters and the
+cells of partition, and here the powers of zeta (_zeta_array, complex128,
+4.2 MB at TABLE_CAP) and the Weil sum (weil_sum, one complex), which
+partition_sums and shifted_character_sums both read.  The arrays are
+read-only; zeta_powers hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -100,8 +102,10 @@ def gauss_sums(p: int) -> tuple[complex, complex]:
     return g_r, g_n
 
 
+@lru_cache(maxsize=1)
 def weil_sum(p: int) -> complex:
-    """S = sum over nonzero a of ((a^2-1)/p) zeta^a; |S| <= 2 sqrt(p)."""
+    """S = sum over nonzero a of ((a^2-1)/p) zeta^a; |S| <= 2 sqrt(p).
+    Cached per prime."""
     chi = _legendre_table(p)
     a = np.arange(1, p, dtype=np.int64)
     return _sum(chi[(a * a - 1) % p] * _zeta_array(p)[1:])

