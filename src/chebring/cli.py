@@ -94,7 +94,7 @@ def _cmd_partition(args) -> None:
         return
     lines = [f"p={args.p}"]
     for cell in structure.CELLS:
-        members = " ".join(str(a) for a in sorted(table.sets[cell]))
+        members = " ".join(str(a) for a in table.sets[cell])
         lines.append(f"A{cell}: {members}")
     _emit(args, [], lines)
 

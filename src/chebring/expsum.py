@@ -16,10 +16,10 @@ per-residue Python loops they replace.
 
 The sums share per-prime data, each piece built once and cached for the
 last prime: structure's Legendre table, R_p with its characters and the
-cells of partition, and here the powers of zeta (_zeta_array, complex128,
-4.2 MB at TABLE_CAP) and the Weil sum (weil_sum, one complex), which
-partition_sums and shifted_character_sums both read.  The arrays are
-read-only; zeta_powers hands out a fresh list.
+walk's orders, which the partition table views, and here the powers of
+zeta (_zeta_array, complex128, 4.2 MB at TABLE_CAP) and the Weil sum
+(weil_sum, one complex), which partition_sums and shifted_character_sums
+both read.  The arrays are read-only; zeta_powers hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modarith import jacobi
-from .structure import CELLS, _cell, _check_table_cap, _legendre_table, _r_characters, partition
+from .structure import CELLS, _cell, _cell_masks, _check_table_cap, _legendre_table, _r_characters, partition
 
 TOLERANCE = 1e-9
 _BLOCK = 256  # zeta_powers restarts from cmath.exp at every multiple of this
@@ -153,8 +153,9 @@ def partition_sums(p: int) -> ExpSumReport:
     sign2 = jacobi(2, p)
     whole = -2 * math.cos(2 * math.pi / p)  # zeta summed over R_p
     g: dict[str, complex] = {}
+    masks = _cell_masks(table.eps, table.delta)
     for cell, (eps, delta) in CELLS.items():
-        direct = _sum(zp[np.asarray(table.sets[cell], dtype=np.int64)])
+        direct = _sum(zp[table.r[masks[cell]]])
         trick = (whole + eps * c_both + sign2 * (delta * c_plus + eps * delta * c_minus)) / 4
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")

@@ -9,21 +9,21 @@ and split by the symmetry a -> p - a.
 
 Per-prime data is built once and shared, each piece an lru_cache of one
 prime, as every caller works on one prime at a time: the Legendre table
-(_legendre_table), R_p with its characters eps and delta (_r_characters),
-the omega-orders of the Chebyshev walk (_walk_orders), and the cell tuples
-and orders dict of partition (_partition_parts); expsum keeps the powers
-of zeta and the Weil sum the same way.  At TABLE_CAP these caches retain
-35.7 MB (tracemalloc at p = 262139): the table and the orders (int64)
-2.1 MB each, R_p and its characters 6.3 MB, the cells and the orders dict
-21.0 MB, the powers (complex128) 4.2 MB.  The cached arrays are read-only,
-and every public result is a fresh object built from them per call.
+(_legendre_table), R_p with its characters eps and delta (_r_characters)
+and the omega-orders of the Chebyshev walk (_walk_orders), which a
+PartitionTable views without a copy; expsum keeps the powers of zeta and
+the Weil sum the same way.  At TABLE_CAP these caches retain 14.7 MB
+(tracemalloc at p = 262139): the table and the orders (int64) 2.1 MB
+each, R_p and its characters 6.3 MB, the powers (complex128) 4.2 MB.
+The cached arrays are read-only, and every public result is a fresh
+object per call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,33 +95,47 @@ def _legendre_table(p: int) -> np.ndarray:
     return chi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionTable:
-    """The four cells A_{eps delta} of R_p and the omega-order of each element."""
+    """The four cells A_{eps delta} of R_p and the omega-order of each element:
+    R_p ascending (r), its characters (eps, delta) and orders (order), each a
+    read-only int64 array.  Two tables are equal when p and the arrays are."""
 
     p: int
-    sets: dict[str, tuple[int, ...]]
-    orders: dict[int, int]
+    r: np.ndarray
+    eps: np.ndarray
+    delta: np.ndarray
+    order: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PartitionTable):
+            return NotImplemented
+        arrays = ("r", "eps", "delta", "order")
+        return self.p == other.p and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in arrays)
+
+    @cached_property
+    def sets(self) -> dict[str, tuple[int, ...]]:
+        """The cells as ascending tuples, keyed as CELLS; built on first read."""
+        return {key: tuple(self.r[mask].tolist()) for key, mask in _cell_masks(self.eps, self.delta).items()}
+
+    @cached_property
+    def orders(self) -> dict[int, int]:
+        """a -> omega-order of a, ascending in a; built on first read."""
+        return dict(zip(self.r.tolist(), self.order.tolist()))
 
     def cell_of(self, a: int) -> str:
-        for key, members in self.sets.items():
-            if a in members:
-                return key
-        raise KeyError(f"{a} is not in R_{self.p}")
+        i = np.searchsorted(self.r, a)
+        if i == self.r.size or self.r[i] != a:
+            raise KeyError(f"{a} is not in R_{self.p}")
+        return _cell(self.eps[i], self.delta[i])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "sets": {key: list(val) for key, val in self.sets.items()},
-                "orders": {str(a): d for a, d in sorted(self.orders.items())},
-            }
-        )
+        sets = {key: self.r[mask].tolist() for key, mask in _cell_masks(self.eps, self.delta).items()}
+        orders = dict(zip(map(str, self.r.tolist()), self.order.tolist()))
+        return json.dumps({"p": self.p, "sets": sets, "orders": orders})
 
     def csv_rows(self) -> list[tuple[int, int, int, int]]:
-        return sorted(
-            (a, eps, delta, self.orders[a]) for key, (eps, delta) in CELLS.items() for a in self.sets[key]
-        )
+        return list(zip(self.r.tolist(), self.eps.tolist(), self.delta.tolist(), self.order.tolist()))
 
 
 @dataclass(frozen=True)
@@ -372,48 +386,29 @@ def _walk_orders(p: int) -> np.ndarray:
     return orders
 
 
-@lru_cache(maxsize=1)
-def _partition_parts(p: int) -> tuple[dict[str, tuple[int, ...]], dict[int, int]]:
-    """The cell tuples and the orders dict of partition(p), cached per prime.
-    The cells and the dict keys share one int object per element of R_p, and
-    the dict values one per distinct order: at TABLE_CAP the two take 21.0 MB,
-    where one int per entry took 37.7 MB (tracemalloc)."""
-    a, eps, delta = _r_characters(p)
-    members = a.astype(object)
-    values, index = np.unique(_walk_orders(p), return_inverse=True)
-    orders = dict(zip(members.tolist(), values.astype(object)[index].tolist()))
-    sets = {key: tuple(members[mask].tolist()) for key, mask in _cell_masks(eps, delta).items()}
-    return sets, orders
-
-
 def partition(p: int) -> PartitionTable:
     """The four cells of R_p and every element's omega-order, two ways.
 
     Route one, _cell_masks, reads the cells off the Legendre table; the
     shift refinement reads only it.  Route two, the Chebyshev walk of
-    _walk_orders, is the cross-check and gives the orders.  The cells and
-    the orders dict are built once per prime (_partition_parts), so repeated
-    calls at one p walk once and then only copy the two dicts: about 6 us
-    a call at p = 1049 against 160 us for a build (2-CPU VM).  Each call returns a
-    fresh table.
+    _walk_orders, is the cross-check and gives the orders.  Each call
+    returns a fresh table over the cached arrays of _r_characters and
+    _walk_orders, so repeated calls at one p walk once.
     """
-    sets, orders = _partition_parts(p)
-    return PartitionTable(p, dict(sets), dict(orders))
+    return PartitionTable(p, *_r_characters(p), _walk_orders(p))
 
 
 def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
     """I_d = {a in R_p : omega-order d}, ascending in d and in a, from the
     orders of the partition, whose walk ties them to the cells: delta = +1
-    exactly where d divides (p-eps)/2.  The orders dict is keyed in ascending
-    a, so one stable argsort of its orders and one split form the classes.
+    exactly where d divides (p-eps)/2.  R_p is ascending, so one stable
+    argsort of the orders and one split form the classes.
     Each d divides p - 1 or p + 1, and each I_d has d > 2 and exactly phi(d)/2
     elements, with phi(d) read off the primes of p - 1 and p + 1.
     """
-    orders = partition(p).orders
-    a = np.fromiter(orders, np.int64, len(orders))
-    d = np.fromiter(orders.values(), np.int64, len(orders))
-    by_order = np.argsort(d, kind="stable")
-    d, a = d[by_order], a[by_order]
+    table = partition(p)
+    by_order = np.argsort(table.order, kind="stable")
+    d, a = table.order[by_order], table.r[by_order]
     starts = np.flatnonzero(np.diff(d, prepend=0))  # each order is >= 1
     primes = set(prime_factors(p - 1) + prime_factors(p + 1))
     out = {}

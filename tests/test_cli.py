@@ -1,5 +1,6 @@
 """Command-line surface: golden table output, formats, exit codes."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -82,6 +83,24 @@ def test_orders_table_golden(capsys):
         "I_22: 6 16 18 20 21\n"
         "I_24: 4 10 13 19\n"
     )
+
+
+# sha256 of the stdout of `chebring <command> -p 1049 --format <format>`
+GOLDEN_1049 = {
+    ("partition", "table"): "8aa36503dbc4975cefaf199634091f92c8c44c79da66e0269c65098eaf6be95f",
+    ("partition", "json"): "5efe2337bca280374a5706df6504f07fb1656c477ed05d92a5d2933d098bb7af",
+    ("partition", "csv"): "0ce37e178ad7f1224bc1e174c388ca30e6a99a33d06ce9fc1c39ad07d743df18",
+    ("orders", "table"): "41a65dbcf812c805e41e990cdf637a15796af9ca48af7e05a6d6ab6f9f180cd5",
+    ("orders", "json"): "3f467050710514ba2d10d691e188af47515986afb277ef960a2d9b6e790dae1a",
+    ("orders", "csv"): "506ee8413f7a26862f29b46c13d62662ffc0c73e62ea4da6db48073739493846",
+}
+
+
+@pytest.mark.parametrize("command, fmt", GOLDEN_1049)
+def test_partition_and_orders_golden_1049(capsys, command, fmt):
+    code, out, _ = run(capsys, [command, "-p", "1049", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_1049[command, fmt]
 
 
 def test_splitting_golden(capsys):
@@ -249,7 +268,12 @@ def test_json_format(capsys):
     _, out, _ = run(capsys, ["eval", "-a", "19", "-n", "24", "-m", "23", "--format", "json"])
     assert json.loads(out) == {"a": 19, "n": 24, "m": 23, "T": 1, "U": 0}
     _, out, _ = run(capsys, ["partition", "-p", "23", "--format", "json"])
-    assert out.strip() == partition(23).to_json()
+    table = partition(23)
+    assert json.loads(out) == {
+        "p": 23,
+        "sets": {key: list(members) for key, members in table.sets.items()},
+        "orders": {str(a): d for a, d in table.orders.items()},
+    }
     _, out, _ = run(
         capsys, ["pseudoprimes", "--base", "2", "--limit", "3000", "--format", "json"]
     )

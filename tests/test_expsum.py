@@ -256,8 +256,8 @@ def test_cached_zeta_powers_are_read_only_and_lists_fresh():
 
 def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
     """The four per-prime calls of a sweep share one Legendre table, one R_p
-    with its characters, one array of zeta powers, one Chebyshev walk, one
-    build of the partition's cells and orders, and one Weil sum."""
+    with its characters, one array of zeta powers, one Chebyshev walk and one
+    Weil sum."""
     real = structure._t_walk
     walks = []
     monkeypatch.setattr(structure, "_t_walk", lambda *args: walks.append(args[1]) or real(*args))
@@ -272,7 +272,6 @@ def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
         structure._r_characters,
         expsum._zeta_array,
         structure._walk_orders,
-        structure._partition_parts,
         expsum.weil_sum,
     ):
         assert cached.cache_info().misses == 1, cached.__qualname__

@@ -6,6 +6,10 @@ import gc
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from chebring import expsum, structure
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebring"
 
 
@@ -59,6 +63,15 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def array_data(value) -> bool:
+    """Is a cached value one complex, or read-only numeric ndarrays (one, or a
+    tuple of them), never a Python container of ints nor an object array?"""
+    if isinstance(value, complex):
+        return True
+    arrays = value if isinstance(value, tuple) else (value,)
+    return all(isinstance(x, np.ndarray) and x.dtype != object and not x.flags.writeable for x in arrays)
+
+
 def _library() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -80,6 +93,20 @@ def test_checks_see_what_they_look_for():
     private += "_TABLE = (2, 3)\n_LIMIT: int = 5\n_DEAD_TABLE = (41, 43)\n__all__ = []\n"
     b = "from .a import _used\n\ndef f(n):\n    return n < a._LIMIT and n in _TABLE\n"
     assert unreferenced_private({"a": private, "b": b}) == ["a._dead", "a._Gone", "a._DEAD_TABLE"]
+    frozen, boxed = np.arange(3), np.arange(3).astype(object)
+    frozen.setflags(write=False)
+    boxed.setflags(write=False)
+    assert array_data(frozen) and array_data((frozen, frozen)) and array_data(1j)
+    for mixed in ({0: 4}, (0, 2), (frozen, (0, 2)), np.arange(3), boxed):
+        assert not array_data(mixed)
+
+
+def test_per_prime_caches_hold_arrays():
+    """A set at one prime has one representation: each per-prime cache holds
+    read-only arrays over [0, p) or R_p, or the one complex of the Weil sum."""
+    per_prime = (structure._legendre_table, structure._r_characters, structure._walk_orders)
+    for cache in (*per_prime, expsum._zeta_array, expsum.weil_sum):
+        assert array_data(cache(101)), cache.__qualname__
 
 
 def test_every_cache_is_module_level(workloads):
@@ -93,7 +120,7 @@ def test_every_cache_is_module_level(workloads):
         for obj in gc.get_objects()
         if isinstance(obj, functools._lru_cache_wrapper) and (obj.__module__ or "").split(".")[0] == "chebring"
     ]
-    per_prime = {"_legendre_table", "_r_characters", "_walk_orders", "_partition_parts", "_zeta_array", "weil_sum"}
+    per_prime = {"_legendre_table", "_r_characters", "_walk_orders", "_zeta_array", "weil_sum"}
     assert per_prime <= {obj.__qualname__ for obj in defined}
     reachable = {id(cache) for cache in workloads.CACHES}
     assert [obj.__qualname__ for obj in defined if id(obj) not in reachable] == []

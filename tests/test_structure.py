@@ -20,6 +20,7 @@ from chebring.modarith import _t_ladder_vec, cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
 from chebring.structure import (
     IntPolynomial,
+    characters,
     character_transport_check,
     chebyshev_t_int,
     cyclotomic,
@@ -64,6 +65,18 @@ def test_partition_golden():
         table.cell_of(1)
 
 
+def test_cell_of_matches_characters():
+    """cell_of looks each a up in R_p and reads its characters; a value
+    outside R_p is a KeyError."""
+    p = 1049
+    table = partition(p)
+    for a in table.r.tolist():
+        assert structure.CELLS[table.cell_of(a)] == dataclasses.astuple(characters(a, p))
+    for a in (1, p - 1, -1, p):
+        with pytest.raises(KeyError):
+            table.cell_of(a)
+
+
 def test_partition_orders_golden():
     table = partition(23)
     assert table.orders[19] == 24
@@ -75,9 +88,9 @@ def test_partition_orders_golden():
 
 
 def test_partition_orders_match_omega_order():
-    """The table is a plain record whose orders, read off the walk, agree
-    with omega_order on all of R_p."""
-    assert [f.name for f in dataclasses.fields(structure.PartitionTable)] == ["p", "sets", "orders"]
+    """The table is a plain record of R_p's arrays whose orders, read off the
+    walk, agree with omega_order on all of R_p."""
+    assert [f.name for f in dataclasses.fields(structure.PartitionTable)] == ["p", "r", "eps", "delta", "order"]
     for p in primes_in(3, 300):
         assert partition(p).orders == {a: omega_order(a, p) for a in (0, *range(2, p - 1))}
 
@@ -145,7 +158,8 @@ def test_partition_second_route_is_live(monkeypatch, bad, cold_caches):
 def test_walk_edge_primes():
     """At p = 3 the class eps = +1 is empty; at 5 and 7 each walk has one or
     two lanes.  Cells, orders and classes still match the scalar oracles."""
-    assert partition(3) == structure.PartitionTable(3, {"++": (), "+-": (), "-+": (), "--": (0,)}, {0: 4})
+    assert partition(3).sets == {"++": (), "+-": (), "-+": (), "--": (0,)}
+    assert partition(3).orders == {0: 4}
     assert order_class_decomposition(3) == {4: (0,)}
     assert order_class_decomposition(5) == {3: (2,), 4: (0,), 6: (3,)}
     for p in (3, 5, 7):
@@ -221,8 +235,10 @@ def test_order_classes_match_a_dict_grouping():
 
 def test_order_classes_need_orders_dividing_p_minus_or_plus_one(monkeypatch):
     table = partition(23)
-    table.orders[11] = 5  # I_3 = {11} at p = 23; 5 divides neither 22 nor 24
-    monkeypatch.setattr(structure, "partition", lambda p: table)
+    order = table.order.copy()
+    order[np.searchsorted(table.r, 11)] = 5  # I_3 = {11} at p = 23; 5 divides neither 22 nor 24
+    corrupted = structure.PartitionTable(23, table.r, table.eps, table.delta, order)
+    monkeypatch.setattr(structure, "partition", lambda p: corrupted)
     with pytest.raises(ArithmeticError, match="^order 5 divides neither p - 1 nor p \\+ 1 at p=23$"):
         order_class_decomposition(23)
 
