@@ -8,8 +8,9 @@ a composite n fails at k = its least prime factor, since n divides d_k
 whenever gcd(k, n) = 1.  The d_k come from structure._d_chain, the same
 ratio that builds the exact T_n in chebyshev_t_int.  The polynomials mod m
 come from chebyshev_t_int on one of two routes: the doubling ladder on int64
-lanes, O(log n) reduced products, while (n // 2 + 1)(m - 1)^2 < 2^63, and the
-closed form reduced mod m past that bound.  The shifted variant
+lanes, O(log n) reduced products, each convolved in float64 while its sums
+stay below 2^53, while (n // 2 + 1)(m - 1)^2 < 2^63, and the closed form
+reduced mod m past that bound.  The shifted variant
 T_n(x+a) = T_n(x) + a needs the ladder, and m = n <= DEGREE_CAP keeps it there.
 """
 
@@ -52,10 +53,12 @@ def prime_iff_power_check(n: int) -> bool:
 
 
 def shifted_congruence_check(n: int, a: int = 1) -> bool:
-    """Is T_n(x+a) = T_n(x) + a mod n?  True exactly for primes.
+    """Is T_n(x+a) = T_n(x) + a mod n?  For odd n, true exactly for primes;
+    n = 2 fails, as the congruence needs an odd modulus.
 
     Both sides are built mod n by chebyshev_t_int on its int64 ladder (at
-    n <= DEGREE_CAP, (n // 2 + 1)(n - 1)^2 stays below 2^63): the left as
+    n <= DEGREE_CAP, (n // 2 + 1)(n - 1)^2 stays below 2^53, so every product
+    is convolved in float64): the left as
     T_n in y = x + a, the right from T_n(x) mod n; coefficient vectors
     compared mod n.
     """

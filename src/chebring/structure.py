@@ -249,6 +249,8 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
     convolutions on int64 lanes: it doubles over the bits of n, carrying
     (T_k, T_{k+1}) in y = x + shift through T_{2k} = 2T_k^2 - 1 and
     T_{2k+1} = 2T_k T_{k+1} - y, O(log n) products, each reduced mod m.
+    The lanes stay int64 between products; each product is convolved in
+    float64 while its own sums stay below 2^53 (_twice_product).
     Otherwise the closed form of T_n(x) is written out: 2^{n-1} x^n plus
     (-1)^k d_k 2^{n-2k-1} x^{n-2k} for k >= 1, with the d_k from _d_chain,
     O(n) steps on integers of up to n bits, each reduced mod m if one is
@@ -284,8 +286,16 @@ def chebyshev_t_int(n: int, shift: int = 0, modulus: int | None = None) -> IntPo
 
 def _twice_product(a: np.ndarray, b: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
     """2ab - low mod m, for int64 coefficient vectors with entries in [0, m)
-    and min(len(a), len(b)) (m - 1)^2 < 2^63, so the convolution is exact."""
-    out = np.convolve(a, b) % m
+    and min(len(a), len(b)) (m - 1)^2 < 2^63, so the convolution is exact.
+
+    Below 2^53 the convolution runs on float64 copies, where numpy's dot
+    kernel is several times faster than its int64 loop, and is cast back:
+    every term and every partial sum is a nonnegative integer no larger than
+    the final sum, which is below 2^53, so the float64 result is exact
+    whatever order the kernel adds in."""
+    if min(len(a), len(b)) * (m - 1) ** 2 < 1 << 53:
+        a, b = a.astype(np.float64), b.astype(np.float64)
+    out = np.convolve(a, b).astype(np.int64, copy=False) % m
     out *= 2
     out[: len(low)] -= low
     out %= m

@@ -15,6 +15,7 @@ import sympy
 from sympy.abc import x
 
 from chebring import ResourceLimitError, structure
+from chebring.aks import chebyshev_poly_mod, shifted_congruence_check
 from chebring.expsum import partition_sums, shifted_character_sums
 from chebring.modarith import _t_ladder_vec, cheb_eval, cheb_t, jacobi
 from chebring.primes import divisors, euler_phi, primes_in
@@ -383,16 +384,20 @@ def test_chebyshev_t_int_matches_exact_recurrence(chebyshev_recurrence):
 
 def test_chebyshev_t_int_reduced_matches_exact_recurrence(chebyshev_recurrence):
     """Both routes mod m against the exact recurrence reduced mod m, on each
-    side of the ladder's bound."""
+    side of the ladder's bound and of its products' float64 bound."""
     # At n = 200 the last product's shorter operand has 101 coefficients: the
-    # int64 ladder up to the largest m with 101 (m-1)^2 < 2^63, the closed form past it.
+    # int64 ladder up to the largest m with 101 (m-1)^2 < 2^63, the closed form
+    # past it; that product convolves in float64 up to the largest m with
+    # 101 (m-1)^2 < 2^53, in int64 past it.
     edge = math.isqrt((2**63 - 1) // 101) + 1
-    worst = np.full(101, edge - 1, dtype=np.int64)  # the largest sums a product can hold
-    want = [(2 * min(i + 1, 201 - i) * (edge - 1) ** 2 - (i == 0)) % edge for i in range(201)]
-    assert structure._twice_product(worst, worst, np.ones(1, dtype=np.int64), edge).tolist() == want
+    fedge = math.isqrt((2**53 - 1) // 101) + 1
+    for bound in (edge, fedge):
+        worst = np.full(101, bound - 1, dtype=np.int64)  # the largest sums a product can hold
+        want = [(2 * min(i + 1, 201 - i) * (bound - 1) ** 2 - (i == 0)) % bound for i in range(201)]
+        assert structure._twice_product(worst, worst, np.ones(1, dtype=np.int64), bound).tolist() == want
     for shift in (0, 1):
         exact = chebyshev_recurrence(200, shift).coefficients
-        for m in (edge, edge + 1) if shift == 0 else (edge,):
+        for m in (fedge, fedge + 1, edge, edge + 1) if shift == 0 else (fedge, fedge + 1, edge):
             assert chebyshev_t_int(200, shift, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
     with pytest.raises(ValueError) as refused:
         chebyshev_t_int(200, 1, edge + 1)
@@ -400,6 +405,26 @@ def test_chebyshev_t_int_reduced_matches_exact_recurrence(chebyshev_recurrence):
     exact = chebyshev_recurrence(1459).coefficients  # a prime of the benchmark's poly band
     for m in (1459, (1 << 30) - 35, (1 << 31) + 11):
         assert chebyshev_t_int(1459, 0, m).coefficients == IntPolynomial.of(c % m for c in exact).coefficients
+
+
+def test_ladder_products_convolve_in_float64_while_exact(monkeypatch):
+    """The ladder's products take the float64 convolution wherever their sums
+    stay below 2^53, as at the benchmark's poly band and at DEGREE_CAP mod a
+    prime just above it, and the int64 one past that."""
+    convolve, seen = np.convolve, []
+
+    def recording(a, b, *args):
+        seen.append((a.dtype.name, b.dtype.name))
+        return convolve(a, b, *args)
+
+    monkeypatch.setattr(structure.np, "convolve", recording)
+    for check in (lambda: shifted_congruence_check(1451, 1), lambda: chebyshev_poly_mod(10000, 10007)):
+        seen.clear()
+        check()
+        assert seen and set(seen) == {("float64", "float64")}
+    seen.clear()
+    chebyshev_t_int(200, 0, math.isqrt((2**53 - 1) // 101) + 2)  # fedge + 1: only the last product passes 2^53
+    assert set(seen[:-1]) == {("float64", "float64")} and seen[-1] == ("int64", "int64")
 
 
 def test_factorization_degree_bookkeeping():
