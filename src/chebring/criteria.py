@@ -15,7 +15,12 @@ lifts to mod p^2 are the Wieferich-style exceptions.
 The single-n tests run the scalar ladder.  The two searches test every
 candidate of a chunk at once on int64 numpy lanes (modarith's lane helpers),
 so their limits stay below SEARCH_CAP = 2^31; the scalar tests are their
-oracles in the test suite.
+oracles in the test suite.  Both run one ladder to h = (n-1)/2 over every
+lane and take no character first.  At a prime p with a != 0, +-1 mod p,
+omega_a^h = +-1 where eps = +1 and delta * omega_a^{-1} where eps = -1, so
+T_h = +-1 mod p exactly where eps = +1: the Wieferich scan reads eps off
+T_h.  The pseudoprime scan keeps only the n whose T_h, T_{h+1} could pass
+at either eps, and takes Jacobi symbols for those few.
 """
 
 from __future__ import annotations
@@ -170,14 +175,18 @@ def _wieferich_chunk(job: tuple[int, int, int]) -> list[WieferichHit]:
     a2 = _residues(base, p * p)
     a = a2 % p
     live = (a > 1) & (a < p - 1)  # eps = 0 exactly when base = +-1 mod p
-    p, a, a2 = p[live], a[live], a2[live]
+    p, a2 = p[live], a2[live]
     if not p.size:
         return []
-    eps = np.where(_pow_vec(a * a - 1, (p - 1) // 2, p) == 1, 1, -1)
-    # With n = (p-eps)/2, T_{n+1} - a T_n = (a^2-1) U_{n-1} and a^2 - 1 is a unit
-    # mod p^2, so U_{n-1} = 0 mod p^2 exactly when the left side vanishes.
-    rows, t1 = _t_ladder_vec(a2, (p - eps) // 2, p * p, p)
-    hit = t1 == _mulmod_p2(a2, rows[-1], p)
+    # With h = (p-1)/2, omega_a^h = +-1 where eps = +1 and delta/omega_a where
+    # eps = -1, so T_h = +-1 mod p exactly where eps = +1 (a != +-1 mod p).  With
+    # k = (p-eps)/2, T_{k+1} - a T_k = (a^2-1) U_{k-1} and a^2 - 1 is a unit mod
+    # p^2, so U_{k-1} = 0 mod p^2 exactly when T_{h+1} = a T_h (k = h) or, by
+    # T_{h+2} = 2a T_{h+1} - T_h, when a T_{h+1} = T_h (k = h + 1).
+    rows, t1 = _t_ladder_vec(a2, (p - 1) // 2, p * p, p)
+    t0 = rows[-1]
+    plus = (t0 % p == 1) | (t0 % p == p - 1)
+    hit = _mulmod_p2(a2, np.where(plus, t0, t1), p) == np.where(plus, t1, t0)
     return [WieferichHit(int(x), base) for x in p[hit]]
 
 
@@ -188,13 +197,15 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     mod p to mod p^2; they play the role Wieferich primes play for Fermat's
     little theorem, and are about as scarce.  Scope: primes with the base
     not congruent to 0 or +-1, the residues where the criterion applies.
-    Each chunk of the range runs as int64 lanes, one prime per lane: eps by
-    Euler's criterion mod p, then the T-ladder mod p^2, with one int64
+    Each chunk of the range runs as int64 lanes, one prime per lane: one
+    T-ladder mod p^2 to h = (p-1)/2 gives T_h and T_{h+1}, eps = +1 exactly
+    where T_h = +-1 mod p, and the hit test T_{h+1} = base T_h (eps = +1) or
+    base T_{h+1} = T_h (eps = -1) mod p^2.  The ladder takes one int64
     product per step while the chunk's primes stop at 46337 (46337^2 < 2^31)
     and two limbs once one passes it.  The first chunk stops at 46337, so
     its primes stay on one limb whatever the limit.
     A limit of SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With
-    threads=1, base 3 to 10^7 took 2.0-2.4 s on a 2-CPU VM; to SEARCH_CAP it
+    threads=1, base 3 to 10^7 took 1.8-2.0 s on a 2-CPU VM; to SEARCH_CAP it
     would take about 7 minutes (extrapolated from 10^6-wide windows up to the
     cap, not run).
     """
@@ -256,8 +267,18 @@ def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[PseudoprimeVerdic
     if kind == "weak":
         rows, _ = _t_ladder_vec(a, n, n)
         return [PseudoprimeVerdict(int(x), base, kind, True) for x in n[rows[-1] == a]]
+    # A pass at eps = +1 has T_h = delta = +-1 and T_{h+1} = a T_h for h = (n-1)/2,
+    # one at eps = -1 has T_{h+1} = delta and a T_{h+1} = T_h: one ladder to h
+    # over every lane keeps the few candidates that can pass at either eps.
     keep = np.gcd(a * a - 1, n) == 1
     n, a = n[keep], a[keep]
+    if not n.size:
+        return []
+    rows, t1 = _t_ladder_vec(a, n // 2, n)
+    t0 = rows[-1]
+    cand = ((t0 == 1) | (t0 == n - 1)) & (t1 == a * t0 % n)
+    cand |= ((t1 == 1) | (t1 == n - 1)) & (a * t1 % n == t0)
+    n, a = n[cand], a[cand]
     if not n.size:
         return []
     eps, delta = _jacobi_vec(np.concatenate((a * a - 1, 2 * (a + 1))), np.tile(n, 2)).reshape(2, -1)
@@ -285,19 +306,26 @@ def pseudoprime_search(
     """All odd composites <= limit passing the chosen test, ascending.
 
     Each chunk of the range runs as int64 lanes, one candidate n per lane:
-    composites are the zeros of the sieve, the full and strong kinds drop n
-    sharing a factor with base^2 - 1 (weak keeps them), eps and delta are lane
-    Jacobi symbols, and one T-ladder mod n gives the endpoint and the doubling
-    profile.  Verdicts are built only for the candidates that pass; they match
-    the single-n tests weak_pseudoprime_test, full_pseudoprime_test and
-    strong_profile.  A limit of SEARCH_CAP = 2^31 or more raises
-    ResourceLimitError.  With threads=1, base 2 to 10^7 took 2.4-2.7 s for
-    the strong kind and 2.5-3.0 s for the full and weak kinds on a 2-CPU VM;
-    the strong kind to SEARCH_CAP would take about 15 minutes (extrapolated
-    from 10^6-wide windows up to the cap, not run).
+    composites are the zeros of the sieve; the weak kind tests T_n = base on
+    one ladder.  The full and strong kinds drop n sharing a factor with
+    base^2 - 1, then run one ladder to h = (n-1)/2 and keep only the n where
+    (T_h = +-1 and T_{h+1} = base T_h) or (T_{h+1} = +-1 and
+    base T_{h+1} = T_h) mod n, which every pass at eps = +1 or at eps = -1
+    satisfies.  For those few, eps and delta are lane Jacobi symbols and one
+    T-ladder to (n-eps)/2 gives the endpoint and the doubling profile.
+    Verdicts are built only for the candidates that pass; they match the
+    single-n tests weak_pseudoprime_test, full_pseudoprime_test and
+    strong_profile.  A base of 0 or +-1 raises ValueError; a limit of
+    SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With threads=1,
+    base 2 to 10^7 took 1.9-2.2 s for the strong kind, 1.9-2.1 s for the
+    full kind and 2.4-2.5 s for the weak kind on a 2-CPU VM; the strong kind
+    to SEARCH_CAP would take about 15 minutes (extrapolated from 10^6-wide
+    windows up to the cap, not run).
     """
     if kind not in PSEUDOPRIME_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")
+    if base in (0, 1, -1):
+        raise ValueError("base must not be 0 or +-1")
     _check_search_cap(limit)
     if limit < 9:
         return []

@@ -310,6 +310,9 @@ def test_domain_errors_exit_1(capsys):
         code, out, err = run(capsys, [command, "--base", "3", "--limit", "2147483648"])
         assert (code, out) == (1, "")
         assert err == "error: limit 2147483648 exceeds the search cap of 2147483647 (int64 lanes)\n"
+        for base in ("0", "1", "-1"):
+            code, out, err = run(capsys, [command, "--base", base, "--limit", "200"])
+            assert (code, out, err) == (1, "", "error: base must not be 0 or +-1\n")
     code, _, err = run(capsys, ["dh-demo", "-p", "15", "-g", "2"])
     assert code == 1
     for flag in ([], ["--mod-p2"]):  # 4 is not +-1 mod 15, but 4^2 - 1 = 15

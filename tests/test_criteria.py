@@ -255,6 +255,16 @@ def test_pseudoprime_validation():
     assert pseudoprime_search(2, 8) == []
 
 
+@pytest.mark.parametrize("base", [0, 1, -1])
+def test_pseudoprime_search_rejects_degenerate_bases(base):
+    """At base 1 every odd composite is a weak pseudoprime and the full and
+    strong kinds have no candidate; every kind refuses such a base, as the
+    single-n tests and wieferich_search do."""
+    for kind in ("weak", "full", "strong"):
+        with pytest.raises(ValueError, match=r"^base must not be 0 or \+-1$"):
+            pseudoprime_search(base, 200, kind)
+
+
 def test_wieferich_small_limits():
     assert [h.p for h in wieferich_search(13, 100)] == [5, 43, 71]
     assert [h.p for h in wieferich_search(18, 10_000)] == [11]
@@ -282,12 +292,15 @@ def test_wieferich_matches_inverse_route(monkeypatch):
         return hits
 
     wide = (1 << 63, (1 << 64) + 13, -(1 << 63) - 3, (1 << 70) + 3)
+    signs = set()
     for base in (2, 3, 5, 6, 7, 10, 12, 13, 17, 18, -5, 10**12 + 39, 634_770_566, 1_124_612_139, *wide):
         assert [h.p for h in wieferich_search(base, 20_000, threads=1)] == want(base, 3, 20_000), base
         for hi in (46_338, 46_400):
             calls.clear()
             assert [h.p for h in criteria._wieferich_chunk((base, 45_000, hi))] == want(base, 45_000, hi), (base, hi)
             assert bool(calls) == (hi == 46_400), (base, hi)
+        signs.update(jacobi(base * base - 1, p) for p in want(base, 3, 20_000) + want(base, 45_000, 46_400))
+    assert signs == {1, -1}  # hits at eps = +1 and at eps = -1
 
 
 def test_wieferich_first_chunk_stays_on_one_limb(monkeypatch):
@@ -300,6 +313,51 @@ def test_wieferich_first_chunk_stays_on_one_limb(monkeypatch):
     assert [h.p for h in wieferich_search(634_770_566, 100_000, threads=1)] == [1229, 46337]
     assert [h.p for h in wieferich_search(1_124_612_139, 100_000, threads=1)] == [25219, 46349]
     assert reached and min(reached) > 46_337
+
+
+def test_half_ladder_reads_eps():
+    """T_{(p-1)/2}(a) = +-1 mod p exactly where eps = +1, for a != 0, +-1 mod p:
+    omega_a^{(p-1)/2} is +-1 where eps = +1 and delta/omega_a where eps = -1."""
+    rng = random.Random(5)
+    cases = [(p, a) for p in primes_in(5, 600) for a in range(2, p - 1)]
+    cases += [(p, a) for p in (99_991, 100_003, 100_019) for a in rng.sample(range(2, p - 1), 300)]
+    for p, a in cases:
+        assert (cheb_t(a, (p - 1) // 2, p) in (1, p - 1)) == (jacobi(a * a - 1, p) == 1), (a, p)
+
+
+def test_wieferich_takes_no_power_for_eps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_pow_vec called")
+
+    monkeypatch.setattr(criteria, "_pow_vec", refuse)
+    for base in (2, 3, 123_457):
+        wieferich_search(base, 100_000, threads=1)
+
+
+def test_pseudoprime_scan_takes_jacobi_only_for_survivors(monkeypatch):
+    """Jacobi symbols go only to the composites whose ladder to h = (n-1)/2
+    passes at eps = +1 or at eps = -1: (T_h = +-1 and T_{h+1} = a T_h) or
+    (T_{h+1} = +-1 and a T_{h+1} = T_h) mod n, found here with the scalar ladder."""
+    moduli, lanes = set(), []
+    jacobi_vec = criteria._jacobi_vec
+
+    def record(a, n):
+        moduli.update(n.tolist())
+        lanes.append(n.size)
+        return jacobi_vec(a, n)
+
+    monkeypatch.setattr(criteria, "_jacobi_vec", record)
+    found = pseudoprime_search(2, 20_000, "strong", threads=1)
+    composites = [n for n in range(9, 20_001, 2) if not is_prime(n)]
+    survivors = []
+    for n in composites:
+        h = n // 2
+        t0, t1 = cheb_t(2, h, n), cheb_t(2, h + 1, n)
+        if n % 3 and ((t0 in (1, n - 1) and t1 == 2 * t0 % n) or (t1 in (1, n - 1) and 2 * t1 % n == t0)):
+            survivors.append(n)
+    assert {v.n for v in found} <= set(survivors)
+    assert moduli == set(survivors)
+    assert sum(lanes) <= 2 * len(survivors) < len(composites) // 100
 
 
 def test_wieferich_skips_degenerate_primes():
@@ -365,7 +423,10 @@ def _scalar_scan(base: int, limit: int, kind: str) -> list[PseudoprimeVerdict]:
 def test_pseudoprime_lanes_match_single_n_tests(base):
     """Every odd composite n in [9, 5000), all three kinds, verdicts and profiles."""
     for kind in ("weak", "full", "strong"):
-        assert pseudoprime_search(base, 4999, kind, threads=1) == _scalar_scan(base, 4999, kind), kind
+        found = pseudoprime_search(base, 4999, kind, threads=1)
+        assert found == _scalar_scan(base, 4999, kind), kind
+        if kind != "weak":  # passes at eps = +1 and at eps = -1
+            assert {jacobi(base * base - 1, v.n) for v in found} == {1, -1}, kind
 
 
 @pytest.mark.parametrize("cpus", [3, 64])
