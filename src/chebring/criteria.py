@@ -20,7 +20,8 @@ lane and take no character first.  At a prime p with a != 0, +-1 mod p,
 omega_a^h = +-1 where eps = +1 and delta * omega_a^{-1} where eps = -1, so
 T_h = +-1 mod p exactly where eps = +1: the Wieferich scan reads eps off
 T_h.  The pseudoprime scan keeps only the n whose T_h, T_{h+1} could pass
-at either eps, and takes Jacobi symbols for those few.
+at either eps, and gives those few to the single-n tests, so every full and
+strong verdict comes from one routine, _euler_criterion.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from math import gcd
 import numpy as np
 
 from .modarith import (
-    _jacobi_vec,
     _ladder_tu,
     _mulmod_p2,
     _pow_vec,
@@ -134,13 +134,13 @@ def euler_criterion_failures(p: int, squared: bool = False) -> list[int]:
     d = (a * a - 1) % p
     eps = np.where(_pow_vec(d, half, p) == 1, 1, -1)
     delta = np.where(_pow_vec(2 * (a + 1) % p, half, p) == 1, 1, -1)
-    rows, t_next = _t_ladder_vec(a, (p - eps) // 2, m, p if squared else None)
-    ok = rows[-1] == delta % m
+    t, t_next = _t_ladder_vec(a, (p - eps) // 2, m, p if squared else None)
+    ok = t == delta % m
     if not squared:
         # U_{k-1} = 0 follows from d U_{k-1} = 0 only where d is a unit.  Elsewhere
         # p is composite with a prime q | gcd(d, p), a = +-1 mod q, and
         # U_{k-1} = k a^(k-1) mod q, nonzero as 2k = -eps mod q: those lanes fail.
-        ok &= (np.gcd(d, p) == 1) & (t_next == a * rows[-1] % p)
+        ok &= (np.gcd(d, p) == 1) & (t_next == a * t % p)
     return a[~ok].tolist()
 
 
@@ -183,8 +183,7 @@ def _wieferich_chunk(job: tuple[int, int, int]) -> list[WieferichHit]:
     # k = (p-eps)/2, T_{k+1} - a T_k = (a^2-1) U_{k-1} and a^2 - 1 is a unit mod
     # p^2, so U_{k-1} = 0 mod p^2 exactly when T_{h+1} = a T_h (k = h) or, by
     # T_{h+2} = 2a T_{h+1} - T_h, when a T_{h+1} = T_h (k = h + 1).
-    rows, t1 = _t_ladder_vec(a2, (p - 1) // 2, p * p, p)
-    t0 = rows[-1]
+    t0, t1 = _t_ladder_vec(a2, (p - 1) // 2, p * p, p)
     plus = (t0 % p == 1) | (t0 % p == p - 1)
     hit = _mulmod_p2(a2, np.where(plus, t0, t1), p) == np.where(plus, t1, t0)
     return [WieferichHit(int(x), base) for x in p[hit]]
@@ -205,7 +204,7 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     and two limbs once one passes it.  The first chunk stops at 46337, so
     its primes stay on one limb whatever the limit.
     A limit of SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With
-    threads=1, base 3 to 10^7 took 1.8-2.0 s on a 2-CPU VM; to SEARCH_CAP it
+    threads=1, base 3 to 10^7 took 1.5-1.8 s on a 2-CPU VM; to SEARCH_CAP it
     would take about 7 minutes (extrapolated from 10^6-wide windows up to the
     cap, not run).
     """
@@ -244,11 +243,7 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
     n-1 are reported as -1 (profiles read 0, +-1 at the stabilized tail).
     """
     ch = _nondegenerate_characters(base, n)
-    return _strong_verdict(n, base, *_euler_criterion(base, n, ch.eps, ch.delta))
-
-
-def _strong_verdict(n: int, base: int, endpoint_ok: bool, profile: list[int]) -> PseudoprimeVerdict:
-    """The strong verdict from the endpoint test and the profile mod n."""
+    endpoint_ok, profile = _euler_criterion(base, n, ch.eps, ch.delta)
     signed = [-1 if v == n - 1 else v for v in profile]
     violation = any(
         (signed[i] == 1 and signed[i - 1] not in (1, -1)) or (signed[i] == -1 and signed[i - 1] != 0)
@@ -265,39 +260,21 @@ def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[PseudoprimeVerdic
         return []
     a = _residues(base, n)
     if kind == "weak":
-        rows, _ = _t_ladder_vec(a, n, n)
-        return [PseudoprimeVerdict(int(x), base, kind, True) for x in n[rows[-1] == a]]
+        t, _ = _t_ladder_vec(a, n, n)
+        return [PseudoprimeVerdict(int(x), base, kind, True) for x in n[t == a]]
     # A pass at eps = +1 has T_h = delta = +-1 and T_{h+1} = a T_h for h = (n-1)/2,
     # one at eps = -1 has T_{h+1} = delta and a T_{h+1} = T_h: one ladder to h
-    # over every lane keeps the few candidates that can pass at either eps.
+    # over every lane keeps the few candidates that can pass at either eps.  The
+    # gcd filter makes eps nonzero for the single-n test of each candidate.
     keep = np.gcd(a * a - 1, n) == 1
     n, a = n[keep], a[keep]
     if not n.size:
         return []
-    rows, t1 = _t_ladder_vec(a, n // 2, n)
-    t0 = rows[-1]
+    t0, t1 = _t_ladder_vec(a, n // 2, n)
     cand = ((t0 == 1) | (t0 == n - 1)) & (t1 == a * t0 % n)
     cand |= ((t1 == 1) | (t1 == n - 1)) & (a * t1 % n == t0)
-    n, a = n[cand], a[cand]
-    if not n.size:
-        return []
-    eps, delta = _jacobi_vec(np.concatenate((a * a - 1, 2 * (a + 1))), np.tile(n, 2)).reshape(2, -1)
-    # The ladder to k = (n-eps)/2 = 2^s q ends in s doublings T_2j = 2T_j^2 - 1,
-    # so its last s + 1 rows are the profile [T_q, ..., T_k].  U_{k-1} = 0 mod n
-    # exactly when T_{k+1} = a T_k, as a^2 - 1 is a unit mod n.
-    k = (n - eps) // 2
-    s = np.frexp(k & -k)[1] - 1
-    rows, t1 = _t_ladder_vec(a, k, n, keep=int(s.max()) + 1 if kind == "strong" else 1)
-    t = rows[-1]
-    passed = np.flatnonzero((t == delta % n) & (t1 == a * t % n))
-    if kind == "full":
-        return [PseudoprimeVerdict(int(n[i]), base, kind, True) for i in passed]
-    out = []
-    for i in passed:
-        v = _strong_verdict(int(n[i]), base, True, rows[len(rows) - 1 - s[i] :, i].tolist())
-        if v.passed:
-            out.append(v)
-    return out
+    test = full_pseudoprime_test if kind == "full" else strong_profile
+    return [v for v in (test(int(x), base) for x in n[cand]) if v.passed]
 
 
 def pseudoprime_search(
@@ -311,16 +288,14 @@ def pseudoprime_search(
     base^2 - 1, then run one ladder to h = (n-1)/2 and keep only the n where
     (T_h = +-1 and T_{h+1} = base T_h) or (T_{h+1} = +-1 and
     base T_{h+1} = T_h) mod n, which every pass at eps = +1 or at eps = -1
-    satisfies.  For those few, eps and delta are lane Jacobi symbols and one
-    T-ladder to (n-eps)/2 gives the endpoint and the doubling profile.
-    Verdicts are built only for the candidates that pass; they match the
-    single-n tests weak_pseudoprime_test, full_pseudoprime_test and
-    strong_profile.  A base of 0 or +-1 raises ValueError; a limit of
-    SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With threads=1,
-    base 2 to 10^7 took 1.9-2.2 s for the strong kind, 1.9-2.1 s for the
-    full kind and 2.4-2.5 s for the weak kind on a 2-CPU VM; the strong kind
-    to SEARCH_CAP would take about 15 minutes (extrapolated from 10^6-wide
-    windows up to the cap, not run).
+    satisfies.  Those few go through the single-n tests full_pseudoprime_test
+    or strong_profile, and the verdicts that pass are kept; the weak kind
+    matches weak_pseudoprime_test.  A base of 0 or +-1 raises ValueError; a
+    limit of SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With
+    threads=1, base 2 to 10^7 took 1.5-1.7 s for the strong kind, 1.4-1.5 s
+    for the full kind and 1.8-1.9 s for the weak kind on a 2-CPU VM; the
+    strong kind to SEARCH_CAP would take about 15 minutes (extrapolated from
+    10^6-wide windows up to the cap, not run).
     """
     if kind not in PSEUDOPRIME_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")

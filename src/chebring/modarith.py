@@ -15,11 +15,11 @@ and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
 two consecutive V terms.  The values T_1(a), T_2(a), ... in a row are one
 walk of T_{k+1} = 2a T_k - T_{k-1} (_t_walk).  The lane helpers run on int64
-numpy lanes, one candidate per lane: _pow_vec (modpow), _jacobi_vec (Jacobi
-symbols) and _t_ladder_vec (the one vector Chebyshev ladder), with per-lane
-exponents and moduli.  The ladder takes each product as one int64 product
-while every modulus is below 2^31, and on two limbs where m = p^2 reaches
-2^31.  All of it is exact integer arithmetic on canonical residues in [0, m).
+numpy lanes, one candidate per lane: _pow_vec (modpow) and _t_ladder_vec (the
+one vector Chebyshev ladder), with per-lane exponents and moduli.  The ladder
+takes each product as one int64 product while every modulus is below 2^31,
+and on two limbs where m = p^2 reaches 2^31.  All of it is exact integer
+arithmetic on canonical residues in [0, m).
 """
 
 from __future__ import annotations
@@ -112,33 +112,6 @@ def _pow_vec(base: np.ndarray, e, m) -> np.ndarray:
     return r
 
 
-def _jacobi_vec(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Jacobi symbols (a/n) on int64 lanes, for odd n >= 3 (below 2^62), one
-    (a, n) per lane.
-
-    jacobi's algorithm with each run of factors 2 shifted out at once; lanes
-    leave the loop as their remainder reaches 0.  The sign is bit 1 of s:
-    (2/n)^tz flips it where tz is odd and n = 3 or 5 mod 8, that is where bit 1
-    of n ^ n >> 1 is set, and reciprocity where a = n = 3 mod 4, that is where
-    bit 1 of a & n is set (both odd).
-    """
-    a = a % n
-    out = np.zeros_like(a)
-    idx = np.flatnonzero(a)  # a = 0 mod n gives 0, as n > 1
-    a, n = a[idx], n[idx]
-    s = np.zeros_like(a)
-    while idx.size:
-        tz = np.frexp(a & -a)[1] - 1  # trailing zeros of a > 0
-        a = a >> tz
-        s ^= (tz << 1 & (n ^ n >> 1)) ^ (a & n)
-        a, n = n % a, a
-        done = a == 0
-        out[idx[done]] = np.where(n[done] == 1, 1 - (s[done] & 2), 0)
-        live = ~done
-        idx, a, n, s = idx[live], a[live], n[live], s[live]
-    return out
-
-
 def _mulmod_p2(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x * y mod p^2 for residues below p^2, p < 2^31, on two limbs x0 + x1*p:
     every product is below 2^62 and the limb sum below 2^63."""
@@ -149,11 +122,11 @@ def _mulmod_p2(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _t_ladder_vec(
-    a: np.ndarray, k: np.ndarray, m: np.ndarray, p: np.ndarray | None = None, keep: int = 1
+    a: np.ndarray, k: np.ndarray, m: np.ndarray, p: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """T-ladder on int64 lanes: T_j(a) mod m for the last `keep` prefixes j of
-    each exponent k, and T_{k+1}(a) mod m, with a in [0, m); k and m are
-    arrays with one entry per lane of a, or ints shared by every lane.
+    """T-ladder on int64 lanes: (T_k(a), T_{k+1}(a)) mod m, with a in [0, m);
+    k and m are arrays with one entry per lane of a, or ints shared by every
+    lane.
 
     Each bit of k maps (T_j, T_{j+1}) to (T_2j, T_2j+1) or (T_2j+1, T_2j+2)
     through T_2j = 2T_j^2 - 1 and T_2j+1 = 2T_j T_j+1 - a.  Leading zero bits
@@ -161,15 +134,13 @@ def _t_ladder_vec(
     The moduli pick the product: while every m is below 2^31, a step is one
     int64 product reduced once, (2xy - c) mod m, as 2(m - 1)^2 < 2^63; past
     it m must be p^2 with p < 2^31 given, and each product is taken on two
-    limbs.  Row i of the first result is T_{k >> (keep - 1 - i)}, so its last
-    row is T_k; keep <= bit length of k.
+    limbs.
     """
     if int(np.max(m)) < 1 << 31:
         step = lambda x, y, c: (2 * x * y - c) % m
     else:
         step = lambda x, y, c: (2 * _mulmod_p2(x, y, p) - c) % m
     t0, t1 = np.ones_like(a), a
-    rows = []
     nbits = int(np.max(k)).bit_length()
     for i in range(nbits - 1, -1, -1):
         bit = k >> i & 1 == 1
@@ -177,9 +148,7 @@ def _t_ladder_vec(
         sq = np.where(bit, t1, t0)
         sq = step(sq, sq, 1)
         t0, t1 = np.where(bit, cross, sq), np.where(bit, sq, cross)
-        if i < keep:
-            rows.append(t0)
-    return np.array(rows), t1
+    return t0, t1
 
 
 def cheb_eval(a: int, n: int, m: int) -> ChebPair:

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +16,8 @@ import pytest
 from chebring import expsum
 from chebring.cli import main
 from chebring.structure import partition
+
+SRC = Path(__file__).parents[1] / "src"
 
 WIEFERICH_TABLE_10_6 = {
     2: ["103"],
@@ -128,6 +132,30 @@ def test_pseudoprimes_strong_golden(capsys):
         "11041: 0 -1 1 1 1\n"
         "18817: 18791 1351 18720 0 -1 1 1\n"
     )
+
+
+# sha256 of the stdout of
+# `chebring pseudoprimes --base <base> --limit 1000000 --kind <kind> --format json --threads 1`
+GOLDEN_PSEUDOPRIMES_10_6 = {
+    (2, "full"): "c7115161885c7e6e958eb40b8238e0a7e95ff0cad8c9e5e2c461bc656bd40847",
+    (3, "full"): "3e5328dcf03e17639fdc94567eef3cf89b9adf0b806c6e1fa4aeec1c88ea8d73",
+    (5, "full"): "3fb621339feb64441bfbf8601f6811ad27314606032613c6f2af8291650f3ccb",
+    (-5, "full"): "f08eb11c9f2ea151afa482a229f4e041bfa1f6e2b0fd7f0aec84bb909e5672eb",
+    (1000000007, "full"): "c450a6848187dbaa625484f925602886b21aaa35da35e5eb9a109f4b472be9bf",
+    (2, "strong"): "4b116bcc7c7894ee9f71cd737e7e6f1f4a4916b848348661732d505defa76079",
+    (3, "strong"): "a8751a6d899d182f33a725a3df3db6c688826ac1e0e3a5314558e69281b211a2",
+    (5, "strong"): "00bbd7c4dc91f7aba4ca5cd0e5d431c519609a3d2b684e4230081ace22a02dd4",
+    (-5, "strong"): "1bc537f7b32817394819bae40092d12b3123ab1fd6e3bccdf64536c456f5aaa1",
+    (1000000007, "strong"): "69f163a7495fe799d48ab438e5e4cd2d5b98f37ef128a7b5e8b631f3930369f5",
+}
+
+
+@pytest.mark.parametrize("base, kind", GOLDEN_PSEUDOPRIMES_10_6)
+def test_pseudoprimes_golden_10_6(capsys, base, kind):
+    argv = ["pseudoprimes", f"--base={base}", "--limit", "1000000", "--kind", kind, "--format", "json"]
+    code, out, _ = run(capsys, [*argv, "--threads", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PSEUDOPRIMES_10_6[base, kind]
 
 
 @pytest.mark.parametrize("base", sorted(WIEFERICH_TABLE_10_6))
@@ -406,16 +434,22 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-@pytest.mark.skipif(shutil.which("chebring") is None, reason="console script not on PATH")
 def test_console_script():
-    proc = subprocess.run(
-        ["chebring", "eval", "-a", "19", "-n", "24", "-m", "23"],
-        capture_output=True,
-        text=True,
-    )
+    """Exit codes 0, 1 and 2 through a real process: the installed `chebring`
+    script where it is on PATH, else `python -m chebring.cli` on the source tree."""
+    script = shutil.which("chebring")
+    env = dict(os.environ)
+    if script:
+        command = [script]
+    else:
+        command = [sys.executable, "-m", "chebring.cli"]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def chebring(*argv):
+        return subprocess.run([*command, *argv], capture_output=True, text=True, env=env)
+
+    proc = chebring("eval", "-a", "19", "-n", "24", "-m", "23")
     assert proc.returncode == 0
     assert proc.stdout == "T=1 U=0\n"
-    proc = subprocess.run(["chebring", "euler", "-a", "2", "-p", "9"], capture_output=True)
-    assert proc.returncode == 1
-    proc = subprocess.run(["chebring", "nope"], capture_output=True)
-    assert proc.returncode == 2
+    assert chebring("euler", "-a", "2", "-p", "9").returncode == 1
+    assert chebring("nope").returncode == 2

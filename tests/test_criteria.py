@@ -335,18 +335,23 @@ def test_wieferich_takes_no_power_for_eps(monkeypatch):
 
 
 def test_pseudoprime_scan_takes_jacobi_only_for_survivors(monkeypatch):
-    """Jacobi symbols go only to the composites whose ladder to h = (n-1)/2
-    passes at eps = +1 or at eps = -1: (T_h = +-1 and T_{h+1} = a T_h) or
-    (T_{h+1} = +-1 and a T_{h+1} = T_h) mod n, found here with the scalar ladder."""
-    moduli, lanes = set(), []
-    jacobi_vec = criteria._jacobi_vec
+    """The Jacobi symbols and the single-n Euler criterion run once for each
+    composite whose ladder to h = (n-1)/2 passes at eps = +1 or at eps = -1, and
+    for no other: (T_h = +-1 and T_{h+1} = a T_h) or (T_{h+1} = +-1 and
+    a T_{h+1} = T_h) mod n, found here with the scalar ladder."""
+    seen = {"characters": [], "_euler_criterion": []}
 
-    def record(a, n):
-        moduli.update(n.tolist())
-        lanes.append(n.size)
-        return jacobi_vec(a, n)
+    def recorder(name):
+        original = getattr(criteria, name)
 
-    monkeypatch.setattr(criteria, "_jacobi_vec", record)
+        def record(a, n, *rest):
+            seen[name].append(n)
+            return original(a, n, *rest)
+
+        return record
+
+    for name in seen:
+        monkeypatch.setattr(criteria, name, recorder(name))
     found = pseudoprime_search(2, 20_000, "strong", threads=1)
     composites = [n for n in range(9, 20_001, 2) if not is_prime(n)]
     survivors = []
@@ -355,9 +360,9 @@ def test_pseudoprime_scan_takes_jacobi_only_for_survivors(monkeypatch):
         t0, t1 = cheb_t(2, h, n), cheb_t(2, h + 1, n)
         if n % 3 and ((t0 in (1, n - 1) and t1 == 2 * t0 % n) or (t1 in (1, n - 1) and 2 * t1 % n == t0)):
             survivors.append(n)
+    assert (len(survivors), len(composites)) == (17, 7738)
     assert {v.n for v in found} <= set(survivors)
-    assert moduli == set(survivors)
-    assert sum(lanes) <= 2 * len(survivors) < len(composites) // 100
+    assert seen == {"characters": survivors, "_euler_criterion": survivors}
 
 
 def test_wieferich_skips_degenerate_primes():

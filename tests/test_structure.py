@@ -180,7 +180,7 @@ def _ladder_walk_orders(p):
         if n > 2:
             g = next(x for x in a[eps == e].tolist() if omega_order(x, p) == n)
             k = np.arange(1, n // 2, dtype=np.int64)
-            walk.append(_t_ladder_vec(np.full_like(k, g), k, p)[0][-1])
+            walk.append(_t_ladder_vec(np.full_like(k, g), k, p)[0])
             steps.append(k)
             groups.append(np.full_like(k, n))
     walk, k, n = np.concatenate(walk), np.concatenate(steps), np.concatenate(groups)
