@@ -16,7 +16,8 @@ the Weil sum the same way.  At TABLE_CAP these caches retain 14.7 MB
 (tracemalloc at p = 262139): the table and the orders (int64) 2.1 MB
 each, R_p and its characters 6.3 MB, the powers (complex128) 4.2 MB.
 The cached arrays are read-only, and every public result is a fresh
-object per call.
+object per call.  The primality verdict of the last modulus checked is
+cached the same way (_is_odd_prime).
 """
 
 from __future__ import annotations
@@ -59,8 +60,15 @@ def _cell(eps: int, delta: int) -> str:
     return ("+" if eps == 1 else "-") + ("+" if delta == 1 else "-")
 
 
+@lru_cache(maxsize=1)
+def _is_odd_prime(p: int) -> bool:
+    """The verdict of _check_odd_prime for the last p, so that the callers
+    at one prime (the two sides of a key exchange, say) prove it once."""
+    return p >= 3 and p % 2 != 0 and is_prime(p)
+
+
 def _check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if not _is_odd_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
 
 

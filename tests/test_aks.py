@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from chebring import aks
 from chebring.aks import (
     BINOMIAL_CAP,
     DEGREE_CAP,
@@ -68,12 +69,23 @@ def test_poly_mod_validation():
         lambda: chebyshev_poly_mod(DEGREE_CAP, (1 << 61) - 1),
         lambda: chebyshev_poly_mod(DEGREE_CAP, (1 << 4000) - 1),
         lambda: prime_iff_power_check(9973),  # the largest prime below DEGREE_CAP
+        lambda: prime_iff_power_check(8911),  # the largest Fermat pseudoprime below DEGREE_CAP
         lambda: shifted_congruence_check(9973, 1),
         lambda: coefficient_formula(DEGREE_CAP, DEGREE_CAP // 4),
     ],
-    ids=["exact", "mod-10007", "mod-2^30+3", "mod-2^61-1", "mod-4000-bit", "power-check", "shifted-check", "coefficient"],
+    ids=[
+        "exact",
+        "mod-10007",
+        "mod-2^30+3",
+        "mod-2^61-1",
+        "mod-4000-bit",
+        "power-check",
+        "power-check-pseudoprime",
+        "shifted-check",
+        "coefficient",
+    ],
 )
-def test_entry_points_within_budget_at_the_cap(call):
+def test_entry_points_within_budget_at_the_cap(call, cold_caches):
     start = time.perf_counter()
     call()
     assert time.perf_counter() - start < 1.0
@@ -99,6 +111,40 @@ def test_power_check_edges():
         prime_iff_power_check(1)
     with pytest.raises(ResourceLimitError):
         prime_iff_power_check(DEGREE_CAP + 1)
+
+
+def test_power_check_rejects_every_fermat_pseudoprime_to_10_4(monkeypatch, cold_caches):
+    """The base-2 Fermat pseudoprimes are the only composites that pass the
+    leading coefficient; each reaches the full comparison and fails it."""
+    pseudoprimes = [n for n in range(3, 10**4, 2) if pow(2, n - 1, n) == 1 and not is_prime(n)]
+    assert len(pseudoprimes) == 22 and pseudoprimes[0] == 341 and pseudoprimes[-1] == 8911
+    builds = []
+    real = aks.chebyshev_t_int
+    monkeypatch.setattr(aks, "chebyshev_t_int", lambda n, *rest, **kw: builds.append(n) or real(n, *rest, **kw))
+    for n in pseudoprimes:
+        assert not prime_iff_power_check(n), n
+    assert builds == pseudoprimes
+
+
+@pytest.mark.parametrize("power_first", [True, False], ids=["power-then-shifted", "shifted-then-power"])
+def test_power_and_shifted_checks_share_one_build(monkeypatch, cold_caches, power_first):
+    """At one prime n both checks read the same T_n(x) mod n, built once
+    whichever runs first; the shifted side is built on its own."""
+    n = 1409
+    shifts = []
+    real = aks.chebyshev_t_int
+
+    def counting(n, shift=0, modulus=None):
+        shifts.append(shift)
+        return real(n, shift, modulus)
+
+    monkeypatch.setattr(aks, "chebyshev_t_int", counting)
+    checks = [lambda: prime_iff_power_check(n), lambda: shifted_congruence_check(n, 1)]
+    first, second = checks if power_first else checks[::-1]
+    assert first()
+    assert shifts == ([0] if power_first else [0, 1])  # the shifted check builds T_n(x) before T_n(x + 1)
+    assert second()
+    assert shifts == [0, 1]
 
 
 def test_shifted_check_matches_primality():

@@ -135,6 +135,23 @@ def test_dh_validation():
         DhParty(23, 19, 5, 10, received=13, shared=5)  # the key is derived, never passed
 
 
+def test_exchange_proves_its_modulus_once(monkeypatch, cold_caches):
+    """Both sides of one exchange check the same modulus: on cold caches the
+    primality test of 2^127 - 1 runs once, and a bad modulus after it is
+    still refused."""
+    p = (1 << 127) - 1
+    primality_calls = []
+    real_is_prime = structure.is_prime
+    monkeypatch.setattr(structure, "is_prime", lambda n: primality_calls.append(n) or real_is_prime(n))
+    alice, bob = dh_keygen(p, 3, 5), dh_keygen(p, 3, 7)
+    alice, bob = dh_finish(alice, bob.sent), dh_finish(bob, alice.sent)
+    assert alice.shared == bob.shared == cheb_t(3, 35, p)
+    assert primality_calls == [p]
+    with pytest.raises(ValueError, match="modulus must be an odd prime, got 15$"):
+        dh_keygen(15, 2, 5)
+    assert primality_calls == [p, 15]
+
+
 def test_shared_key_is_derived():
     assert DhParty(23, 19, 5, 10, received=13).shared == cheb_t(13, 5, 23)
     assert dh_keygen(23, 19, 5).shared is None

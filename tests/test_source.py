@@ -7,8 +7,10 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chebring import expsum, structure
+from chebring.structure import CYCLOTOMIC_CAP, ResourceLimitError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebring"
 
@@ -109,18 +111,34 @@ def test_per_prime_caches_hold_arrays():
         assert array_data(cache(101)), cache.__qualname__
 
 
-def test_every_cache_is_module_level(workloads):
-    """Each functools cache the package defines is one the benchmark resets
-    between ops: a module-level function, or a method of a module-level
-    class, listed in perfbench/workloads.CACHES."""
+def _package_caches() -> list:
+    """Every functools cache a module of the package defines."""
     for path in SRC.glob("*.py"):
         importlib.import_module(f"chebring.{path.stem}" if path.stem != "__init__" else "chebring")
-    defined = [
+    return [
         obj
         for obj in gc.get_objects()
         if isinstance(obj, functools._lru_cache_wrapper) and (obj.__module__ or "").split(".")[0] == "chebring"
     ]
+
+
+def test_every_cache_is_module_level(workloads):
+    """Each functools cache the package defines is one the benchmark resets
+    between ops: a module-level function, or a method of a module-level
+    class, listed in perfbench/workloads.CACHES."""
+    defined = _package_caches()
     per_prime = {"_legendre_table", "_r_characters", "_walk_orders", "_zeta_array", "weil_sum"}
     assert per_prime <= {obj.__qualname__ for obj in defined}
     reachable = {id(cache) for cache in workloads.CACHES}
     assert [obj.__qualname__ for obj in defined if id(obj) not in reachable] == []
+
+
+def test_every_cache_is_bounded():
+    """Each cache keeps a finite number of entries, but _cyclotomic_coeffs,
+    whose keys stop at CYCLOTOMIC_CAP, as it refuses any index past it."""
+    sizes = {obj.__qualname__: obj.cache_parameters()["maxsize"] for obj in _package_caches()}
+    assert {"chebyshev_poly_mod", "_is_odd_prime", "_cyclotomic_coeffs"} <= set(sizes)
+    assert sizes.pop("_cyclotomic_coeffs") is None
+    assert {name: size for name, size in sizes.items() if size is None} == {}
+    with pytest.raises(ResourceLimitError):
+        structure._cyclotomic_coeffs(CYCLOTOMIC_CAP + 1)
