@@ -14,12 +14,14 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
 two consecutive V terms.  The values T_1(a), T_2(a), ... in a row are one
-walk of T_{k+1} = 2a T_k - T_{k-1} (_t_walk).  The lane helpers run on int64
-numpy lanes, one candidate per lane: _pow_vec (modpow) and _t_ladder_vec (the
-one vector Chebyshev ladder), with per-lane exponents and moduli.  The ladder
-takes each product as one int64 product while every modulus is below 2^31,
-and on two limbs where m = p^2 reaches 2^31.  All of it is exact integer
-arithmetic on canonical residues in [0, m).
+walk of T_{k+1} = 2a T_k - T_{k-1} (_t_walk), which can stop at a first hit;
+a run of known length, for several bases at once, is filled by doubling
+through T_{b+i} = 2T_b T_i - T_{b-i} (_t_rows).  The lane helpers run on
+int64 numpy lanes, one candidate per lane: _pow_vec (modpow) and
+_t_ladder_vec (the one vector Chebyshev ladder), with per-lane exponents
+and moduli.  The ladder takes each product as one int64 product while every
+modulus is below 2^31, and on two limbs where m = p^2 reaches 2^31.  All of
+it is exact integer arithmetic on canonical residues in [0, m).
 """
 
 from __future__ import annotations
@@ -75,6 +77,28 @@ def _t_walk(a: int, m: int):
     while True:
         yield cur
         prev, cur = cur, (2 * a * cur - prev) % m
+
+
+def _t_rows(a, m: int, size: int) -> np.ndarray:
+    """T_0(a_r), ..., T_{size-1}(a_r) mod m for each entry a_r of a, as the
+    rows of one int64 array of shape (len(a), size), for 2 <= m < 2^31.
+
+    The walk of _t_walk filled by doubling: given T_0 ... T_b, the product
+    formula T_{b+i} = 2 T_b T_i - T_{b-i} gives T_{b+1} ... T_{2b} at once,
+    so the rows take ceil(log2 size) numpy steps.  Every product 2 T_b T_i
+    is below 2(m - 1)^2 < 2^63, which is where m < 2^31 comes from.
+    """
+    a = np.asarray(a, dtype=np.int64) % m
+    t = np.empty((a.size, size), dtype=np.int64)
+    t[:, :1] = 1
+    t[:, 1:2] = a[:, None]
+    b = 1
+    while b < size - 1:
+        i = min(b, size - 1 - b)
+        step = 2 * t[:, b : b + 1] * t[:, 1 : i + 1] - t[:, b - i : b][:, ::-1]
+        np.remainder(step, m, out=t[:, b + 1 : b + i + 1])
+        b += i
+    return t
 
 
 def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:

@@ -10,11 +10,12 @@ and split by the symmetry a -> p - a.
 Per-prime data is built once and shared, each piece an lru_cache of one
 prime, as every caller works on one prime at a time: the Legendre table
 (_legendre_table), R_p with its characters eps and delta (_r_characters)
-and the omega-orders of the Chebyshev walk (_walk_orders), which a
-PartitionTable views without a copy; expsum keeps the powers of zeta and
-the Weil sum the same way.  At TABLE_CAP these caches retain 14.7 MB
-(tracemalloc at p = 262139): the table and the orders (int64) 2.1 MB
-each, R_p and its characters 6.3 MB, the powers (complex128) 4.2 MB.
+and the omega-orders of the Chebyshev walk (_walk_orders, both eps classes
+filled by doubling as the rows of one array), which a PartitionTable views
+without a copy; expsum keeps the powers of zeta and the Weil sum the same
+way.  At TABLE_CAP these caches retain 14.7 MB (tracemalloc at
+p = 262139): the table and the orders (int64) 2.1 MB each, R_p and its
+characters 6.3 MB, the powers (complex128) 4.2 MB.
 The cached arrays are read-only, and every public result is a fresh
 object per call.  The primality verdict of the last modulus checked is
 cached the same way (_is_odd_prime).
@@ -28,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modarith import _t_walk, cheb_t, jacobi
+from .modarith import _t_rows, cheb_t, jacobi
 from .primes import ResourceLimitError, divisors, euler_phi, is_prime, prime_factors
 
 CELLS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}  # cell key -> (eps, delta)
@@ -375,31 +376,44 @@ def _cell_masks(eps: np.ndarray, delta: np.ndarray) -> dict[str, np.ndarray]:
     return {key: (eps == e) & (delta == d) for key, (e, d) in CELLS.items()}
 
 
+def _step_orders(n: int, count: int) -> np.ndarray:
+    """n / gcd(k, n) for k = 1 ... count, the order of k in Z/n, as int64:
+    from n, divided by q at every q^i-th step for each prime power q^i | n."""
+    orders = np.full(count, n, dtype=np.int64)
+    for q in prime_factors(n):
+        qi = q
+        while n % qi == 0:
+            orders[qi - 1 :: qi] //= q
+            qi *= q
+    return orders
+
+
 @lru_cache(maxsize=1)
 def _walk_orders(p: int) -> np.ndarray:
     """The omega-order of each element of R_p, ascending, from the Chebyshev
-    walk: T_k(g), k = 1 ... n/2 - 1, by the three-term recurrence (_t_walk),
-    for one g of each eps with omega-order n = p - eps.  The walk must meet each
-    residue of R_p once, with the table's eps and delta = +1 exactly at even
-    k; T_k(g) has omega-order n / gcd(k, n).  Read-only, cached per prime.
+    walk: T_k(g), k = 1 ... n/2 - 1, for one g of each eps with omega-order
+    n = p - eps, the two walks the rows of one _t_rows call (filled by
+    doubling).  The walk must meet each residue of R_p once, with the table's
+    eps and delta = +1 exactly at even k; T_k(g) has omega-order
+    n / gcd(k, n), read off the prime powers of n (_step_orders).  Read-only,
+    cached per prime.
     """
     a, eps, delta = _r_characters(p)
-    lanes = []  # the (T_k(g), k, n) arrays of each walk
-    for e in (1, -1):
-        n = p - e
-        if n > 2:  # at p = 3 the class eps = +1 is empty
-            g = next(x for x in a[eps == e].tolist() if _order(x, p, e) == n)
-            k = np.arange(1, n // 2, dtype=np.int64)
-            lanes.append((np.fromiter(_t_walk(g, p), np.int64, k.size), k, np.full_like(k, n)))
-    walk, k, n = (np.concatenate(col) for col in zip(*lanes))
+    ns = [n for n in (p - 1, p + 1) if n > 2]  # eps = +1, -1; at p = 3 the class eps = +1 is empty
+    gens = [next(x for x in map(int, a[eps == p - n]) if _order(x, p, p - n) == n) for n in ns]
+    rows = _t_rows(gens, p, ns[-1] // 2)
+    walk = np.concatenate([row[1 : n // 2] for row, n in zip(rows, ns)])
+    k = np.concatenate([np.arange(1, n // 2) for n in ns])  # the step and group order of each T_k(g)
+    group = np.repeat(ns, [n // 2 - 1 for n in ns])
+    order = np.concatenate([_step_orders(n, n // 2 - 1) for n in ns])
     lane = np.zeros(p, dtype=np.int64)
     lane[walk] = np.arange(walk.size)
-    k, n = k[lane[a]], n[lane[a]]  # the step and group order that met each a
+    at = lane[a]  # the position in the walk that met each a
     met = np.bincount(walk, minlength=p)[a]
-    bad = a[(met != 1) | (p - n != eps) | ((k % 2 == 0) != (delta == 1))]
+    bad = a[(met != 1) | (p - group[at] != eps) | ((k[at] % 2 == 0) != (delta == 1))]
     if bad.size:
         raise ArithmeticError(f"the Chebyshev walk mod {p} disagrees with the Legendre table at {bad[0]}")
-    orders = n // np.gcd(k, n)
+    orders = order[at]
     orders.setflags(write=False)
     return orders
 
@@ -409,9 +423,10 @@ def partition(p: int) -> PartitionTable:
 
     Route one, _cell_masks, reads the cells off the Legendre table; the
     shift refinement reads only it.  Route two, the Chebyshev walk of
-    _walk_orders, is the cross-check and gives the orders.  Each call
-    returns a fresh table over the cached arrays of _r_characters and
-    _walk_orders, so repeated calls at one p walk once.
+    _walk_orders (T_k(g) for one g per eps class, filled by doubling in
+    about log2 p numpy steps), is the cross-check and gives the orders.
+    Each call returns a fresh table over the cached arrays of _r_characters
+    and _walk_orders, so repeated calls at one p walk once.
     """
     return PartitionTable(p, *_r_characters(p), _walk_orders(p))
 
@@ -420,17 +435,17 @@ def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
     """I_d = {a in R_p : omega-order d}, ascending in d and in a, from the
     orders of the partition, whose walk ties them to the cells: delta = +1
     exactly where d divides (p-eps)/2.  R_p is ascending, so one stable
-    argsort of the orders and one split form the classes.
+    argsort of the orders, sliced at each change of order, forms the classes.
     Each d divides p - 1 or p + 1, and each I_d has d > 2 and exactly phi(d)/2
     elements, with phi(d) read off the primes of p - 1 and p + 1.
     """
     table = partition(p)
     by_order = np.argsort(table.order, kind="stable")
-    d, a = table.order[by_order], table.r[by_order]
-    starts = np.flatnonzero(np.diff(d, prepend=0))  # each order is >= 1
+    d, a = table.order[by_order], table.r[by_order].tolist()
+    starts = np.flatnonzero(np.diff(d, prepend=0)).tolist()  # each order is >= 1
     primes = set(prime_factors(p - 1) + prime_factors(p + 1))
     out = {}
-    for order, members in zip(d[starts].tolist(), np.split(a, starts[1:])):
+    for order, lo, hi in zip(d[starts].tolist(), starts, starts[1:] + [len(a)]):
         if order <= 2:
             raise ArithmeticError(f"order {order} cannot occur on R_{p}")
         if (p - 1) % order and (p + 1) % order:
@@ -439,9 +454,9 @@ def order_class_decomposition(p: int) -> dict[int, tuple[int, ...]]:
         for q in primes:
             if order % q == 0:
                 phi = phi // q * (q - 1)
-        if members.size != phi // 2:
-            raise ArithmeticError(f"|I_{order}| = {members.size} != phi({order})/2 at p={p}")
-        out[order] = tuple(members.tolist())
+        if hi - lo != phi // 2:
+            raise ArithmeticError(f"|I_{order}| = {hi - lo} != phi({order})/2 at p={p}")
+        out[order] = tuple(a[lo:hi])
     return out
 
 

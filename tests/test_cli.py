@@ -224,6 +224,21 @@ def test_expsum_sweep_csv_golden(capsys):
     )
 
 
+# sha256 of the stdout of `chebring expsum-sweep --max 2000 --format <format>`
+GOLDEN_SWEEP_2000 = {
+    "table": "e6c5ded9b81bafbf74bad4fa184ef5a0f057eda3f8a67764bfb88a7fbaff838e",
+    "json": "194b1478b08f7367a1ad004145cb23ed09c177af3dfa50714257831522909340",
+    "csv": "3d2e580f7e314a825ec8bd13afe71cc88de370e54886bcb779bd31abf1236c59",
+}
+
+
+@pytest.mark.parametrize("fmt", GOLDEN_SWEEP_2000)
+def test_expsum_sweep_golden_2000(capsys, fmt):
+    code, out, _ = run(capsys, ["expsum-sweep", "--max", "2000", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_2000[fmt]
+
+
 @pytest.mark.parametrize("fmt, printed", [("table", 1), ("json", 1), ("csv", 2)])
 def test_expsum_sweep_prints_each_record_before_a_failure(capsys, monkeypatch, fmt, printed):
     """Each prime's record is printed as soon as it is computed, the csv header

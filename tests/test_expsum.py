@@ -235,7 +235,7 @@ def test_cell_readers_run_no_walk(monkeypatch, cold_caches):
     def no_walk(*args):
         raise AssertionError("the Chebyshev walk ran")
 
-    monkeypatch.setattr(structure, "_t_walk", no_walk)
+    monkeypatch.setattr(structure, "_t_rows", no_walk)
     p = 1009
     assert len(shifted_character_sums(p)) == 3
     assert residue_shift_refinement(p).p == p
@@ -258,15 +258,15 @@ def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
     """The four per-prime calls of a sweep share one Legendre table, one R_p
     with its characters, one array of zeta powers, one Chebyshev walk and one
     Weil sum."""
-    real = structure._t_walk
+    real = structure._t_rows
     walks = []
-    monkeypatch.setattr(structure, "_t_walk", lambda *args: walks.append(args[1]) or real(*args))
+    monkeypatch.setattr(structure, "_t_rows", lambda a, m, size: walks.append((len(a), m)) or real(a, m, size))
     p = 1049
     partition_sums(p)
     difference_lemma_check(p)
     shifted_character_sums(p)
     order_class_decomposition(p)
-    assert walks == [p, p]  # one walk per eps class
+    assert walks == [(2, p)]  # one walk, a row per eps class
     for cached in (
         structure._legendre_table,
         structure._r_characters,

@@ -1,5 +1,6 @@
 """Pair arithmetic: golden orbit, cross-route agreement, algebraic laws."""
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -14,12 +15,15 @@ from chebring.modarith import (
     _pow_vec,
     _residues,
     _t_ladder_vec,
+    _t_rows,
+    _t_walk,
     cheb_compose_check,
     cheb_eval,
     cheb_t,
     jacobi,
 )
 from chebring.primes import primes_in, primes_upto
+from chebring.structure import TABLE_CAP
 
 # --- oracle: the transfer-matrix route, independent of the Lucas ladder ------
 
@@ -284,6 +288,20 @@ def test_t_ladder_two_limbs_below_2_62():
         ai, ki, mi = int(a[i]), int(k[i]), int(m[i])
         assert t0[i] == cheb_t(ai, ki, mi), (ai, ki, mi)
         assert t1[i] == cheb_t(ai, ki + 1, mi), (ai, ki, mi)
+
+
+def test_t_rows_match_the_walk():
+    """Each row of _t_rows is T_0 = 1 and then the three-term walk of _t_walk:
+    sizes on both sides of the doubling steps, both walk lengths at the largest
+    prime below TABLE_CAP, one row and two, moduli from 3 up to 2^31 - 1."""
+    rng = random.Random(28)
+    cap = max(primes_in(TABLE_CAP - 100, TABLE_CAP))
+    cases = [(m, size) for m in (3, 23, 1049, cap, (1 << 31) - 1) for size in (1, 2, 3, 5, 8, 1000)]
+    for m, size in cases + [(cap, (cap - 1) // 2), (cap, (cap + 1) // 2)]:
+        gens = [rng.randrange(m), -2]
+        walks = [[1, *itertools.islice(_t_walk(g, m), size - 1)] for g in gens]
+        assert _t_rows(gens[:1], m, size).tolist() == walks[:1], (m, size)
+        assert _t_rows(gens, m, size).tolist() == walks, (m, size)
 
 
 def test_pow_and_jacobi_lanes():

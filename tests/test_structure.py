@@ -146,12 +146,14 @@ def test_partition_matches_scalar_characters():
 @pytest.mark.parametrize("bad", [5, 19])  # cells ++ and -- at p = 23: eps = +1 and eps = -1
 def test_partition_second_route_is_live(monkeypatch, bad, cold_caches):
     """Corrupting the walk step that meets one residue breaks partition there."""
-    real = structure._t_walk
+    real = structure._t_rows
 
-    def corrupted(g, p):
-        return (bad + 1 if t == bad else t for t in real(g, p))
+    def corrupted(a, m, size):
+        rows = real(a, m, size)
+        rows[rows == bad] = bad + 1
+        return rows
 
-    monkeypatch.setattr(structure, "_t_walk", corrupted)
+    monkeypatch.setattr(structure, "_t_rows", corrupted)
     with pytest.raises(ArithmeticError, match=rf"^the Chebyshev walk mod 23 disagrees with .* table at {bad}$"):
         partition(23)
 
@@ -188,6 +190,16 @@ def _ladder_walk_orders(p):
     lane[walk] = np.arange(walk.size)
     k, n = k[lane[a]], n[lane[a]]
     return n // np.gcd(k, n)
+
+
+def test_step_orders_match_gcd():
+    """n / gcd(k, n) read off the prime powers of n equals numpy's gcd for
+    k = 1 ... n - 1, at every n = p -+ 1 with p below 5000 and at 2^17 and
+    2 * 3^10, where the powers of one prime run deep."""
+    ns = {n for p in primes_in(3, 5000) for n in (p - 1, p + 1)} | {1 << 17, 2 * 3**10}
+    for n in sorted(ns):
+        assert np.array_equal(structure._step_orders(n, n - 1), n // np.gcd(np.arange(1, n), n)), n
+        assert np.array_equal(structure._step_orders(n, n // 2 - 1), n // np.gcd(np.arange(1, n // 2), n)), n
 
 
 def test_walk_orders_match_the_lane_ladder():
@@ -248,12 +260,13 @@ def test_order_classes_follow_the_walk(monkeypatch, cold_caches):
     """Two walk values swapped between an even and an odd step still meet
     every residue once, but break the parity rule, so the order classes
     never form on a walk that does not refine the cells."""
-    real = structure._t_walk
+    real = structure._t_rows
 
-    def swapped(g, p):
-        return ({2: 6, 6: 2}.get(t, t) for t in real(g, p))  # omega-orders 11 and 22 at p = 23
+    def swapped(a, m, size):
+        rows = real(a, m, size)
+        return np.where(rows == 2, 6, np.where(rows == 6, 2, rows))  # omega-orders 11 and 22 at p = 23
 
-    monkeypatch.setattr(structure, "_t_walk", swapped)
+    monkeypatch.setattr(structure, "_t_rows", swapped)
     with pytest.raises(ArithmeticError, match="^the Chebyshev walk mod 23 disagrees with the Legendre table at 2$"):
         order_class_decomposition(23)
 
