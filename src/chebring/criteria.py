@@ -34,7 +34,7 @@ from math import gcd
 import numpy as np
 
 from .modarith import (
-    _ladder_tu,
+    _lucas_v,
     _mulmod_p2,
     _pow_vec,
     _residues,
@@ -82,17 +82,20 @@ def _euler_criterion(a: int, n: int, eps: int, delta: int) -> tuple[bool, list[i
     """Whether T_k(a) = delta and U_{k-1}(a) = 0 mod n for k = (n-eps)/2, and
     the profile [T_q, T_2q, ..., T_k] mod n, where k = 2^s q with q odd.
 
-    a^2 - 1 must be a unit mod n.  One ladder reaches q; each of the s
-    doublings is T_{2j} = 2T_j^2 - 1 and U_{2j-1} = 2T_j U_{j-1}.
+    a^2 - 1 must be a unit mod n.  One ladder reaches (V_q, V_{q+1}) mod 2n;
+    each of the s doublings is V_{2j} = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - 2a,
+    and each profile entry is V/2.  As V_{k+1} - a V_k = 2(a^2-1) U_{k-1} and
+    a^2 - 1 is a unit, U_{k-1} = 0 mod n is V_{k+1} = a V_k mod 2n: no inverse.
     """
     k = (n - eps) // 2
     s = (k & -k).bit_length() - 1
-    t, u = _ladder_tu(a % n, k >> s, n)
-    profile = [t]
+    a, mm = a % n, 2 * n
+    v0, v1 = _lucas_v(a, k >> s, n)
+    profile = [v0 >> 1]
     for _ in range(s):
-        t, u = (2 * t * t - 1) % n, 2 * t * u % n
-        profile.append(t)
-    return t == delta % n and u == 0, profile
+        v0, v1 = (v0 * v0 - 2) % mm, (v0 * v1 - 2 * a) % mm
+        profile.append(v0 >> 1)
+    return profile[-1] == delta % n and v1 == a * v0 % mm, profile
 
 
 def euler_test(a: int, p: int) -> bool:

@@ -105,10 +105,10 @@ def gauss_sums(p: int) -> tuple[complex, complex]:
 @lru_cache(maxsize=1)
 def weil_sum(p: int) -> complex:
     """S = sum over nonzero a of ((a^2-1)/p) zeta^a; |S| <= 2 sqrt(p).
-    Cached per prime."""
-    chi = _legendre_table(p)
-    a = np.arange(1, p, dtype=np.int64)
-    return _sum(chi[(a * a - 1) % p] * _zeta_array(p)[1:])
+    The terms a = +-1 are zero, so S sums eps zeta^a over R_p without 0, with
+    eps from _r_characters.  Cached per prime."""
+    a, eps, _ = _r_characters(p)
+    return complex(_sum(eps[1:] * _zeta_array(p)[a[1:]]))
 
 
 def _shifted_closed_forms(p: int, zp: np.ndarray, s: complex) -> tuple[complex, complex, complex]:

@@ -13,15 +13,17 @@ multiply like elements of Z[sqrt(a^2 - 1)]:
 
 and satisfy the Pell norm identity t^2 - (a^2-1)*u^2 = 1.  Every power is
 computed by one Lucas V-sequence ladder, V_n = 2 T_n(a); U_{n-1} is read off
-two consecutive V terms.  The values T_1(a), T_2(a), ... in a row are one
-walk of T_{k+1} = 2a T_k - T_{k-1} (_t_walk), which can stop at a first hit;
-a run of known length, for several bases at once, is filled by doubling
-through T_{b+i} = 2T_b T_i - T_{b-i} (_t_rows).  The lane helpers run on
-int64 numpy lanes, one candidate per lane: _pow_vec (modpow) and
-_t_ladder_vec (the one vector Chebyshev ladder), with per-lane exponents
-and moduli.  The ladder takes each product as one int64 product while every
-modulus is below 2^31, and on two limbs where m = p^2 reaches 2^31.  All of
-it is exact integer arithmetic on canonical residues in [0, m).
+two consecutive V terms by V_{n+1} - a V_n = 2(a^2-1) U_{n-1}(a), in one
+reader (_ladder_tu) and with no modular inverse.  The values T_1(a), T_2(a),
+... in a row are one walk of T_{k+1} = 2a T_k - T_{k-1} (_t_walk), which can
+stop at a first hit; a run of known length, for several bases at once, is
+filled by doubling through T_{b+i} = 2T_b T_i - T_{b-i} (_t_rows).  The
+lane helpers run on int64 numpy lanes, one candidate per lane: _pow_vec
+(modpow) and _t_ladder_vec (the one vector Chebyshev ladder), with per-lane
+exponents and moduli.  The ladder takes each product as one int64 product
+while every modulus is below 2^31, and on two limbs where m = p^2 reaches
+2^31.  All of it is exact integer arithmetic on canonical residues in
+[0, m).
 """
 
 from __future__ import annotations
@@ -102,17 +104,20 @@ def _t_rows(a, m: int, size: int) -> np.ndarray:
 
 
 def _ladder_tu(a: int, n: int, m: int) -> tuple[int, int]:
-    """(T_n(a), U_{n-1}(a)) mod m for a^2 - 1 a unit mod m.
+    """(T_n(a), U_{n-1}(a)) mod m for a in [0, m) and every m >= 2: the one
+    reader of U in the package.
 
-    Reads U off the ladder through V_{n+1} - a V_n = 2 (a^2-1) U_{n-1}(a):
-    halving mod 2m leaves (a^2-1) U_{n-1} mod m, and one inverse finishes.
-    This is the domain of the Euler-criterion and pseudoprime machinery;
-    cheb_eval covers every (a, m).
+    With d = a^2 - 1 nonzero, the ladder runs mod 2m|d|, where the identity
+    V_{n+1} - a V_n = 2d U_{n-1}(a) leaves U_{n-1} mod m after an exact
+    division by 2d, so no inverse is taken.  At a = 1, d = 0 and
+    U_{n-1}(1) = n.
     """
-    v0, v1 = _lucas_v(a, n, m)
-    t = v0 >> 1
-    u = ((v1 - a * v0) % (2 * m) >> 1) * pow(a * a - 1, -1, m) % m
-    return t, u
+    d = a * a - 1
+    if d == 0:
+        return 1, n % m
+    md = m * abs(d)
+    v0, v1 = _lucas_v(a, n, md)
+    return (v0 >> 1) % m, (v1 - a * v0) % (2 * md) // (2 * d) % m
 
 
 def _residues(x: int, m: np.ndarray) -> np.ndarray:
@@ -176,25 +181,14 @@ def _t_ladder_vec(
 
 
 def cheb_eval(a: int, n: int, m: int) -> ChebPair:
-    """Evaluate omega_a^n mod m in O(log n) ring operations, for every a and m.
-
-    With d = a^2 - 1 nonzero, the ladder runs mod 2m|d|, where the identity
-    V_{n+1} - a V_n = 2d U_{n-1}(a) leaves U_{n-1} mod m after an exact
-    division by 2d.  At a = 1, d = 0 and U_{n-1}(1) = n.
-    """
+    """Evaluate omega_a^n mod m in O(log n) ring operations, for every a and m,
+    through _ladder_tu."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     a %= m
-    d = a * a - 1
-    if d == 0:
-        t, u = 1, n % m
-    else:
-        v0, v1 = _lucas_v(a, n, m * abs(d))
-        t = (v0 >> 1) % m
-        u = (v1 - a * v0) % (2 * m * abs(d)) // (2 * d) % m
-    return ChebPair(t, u, a, m)
+    return ChebPair(*_ladder_tu(a, n, m), a, m)
 
 
 def cheb_t(a: int, n: int, m: int) -> int:

@@ -139,9 +139,7 @@ class PartitionTable:
         return _cell(self.eps[i], self.delta[i])
 
     def to_json(self) -> str:
-        sets = {key: self.r[mask].tolist() for key, mask in _cell_masks(self.eps, self.delta).items()}
-        orders = dict(zip(map(str, self.r.tolist()), self.order.tolist()))
-        return json.dumps({"p": self.p, "sets": sets, "orders": orders})
+        return json.dumps({"p": self.p, "sets": self.sets, "orders": self.orders})
 
     def csv_rows(self) -> list[tuple[int, int, int, int]]:
         return list(zip(self.r.tolist(), self.eps.tolist(), self.delta.tolist(), self.order.tolist()))
@@ -403,14 +401,15 @@ def _walk_orders(p: int) -> np.ndarray:
     gens = [next(x for x in map(int, a[eps == p - n]) if _order(x, p, p - n) == n) for n in ns]
     rows = _t_rows(gens, p, ns[-1] // 2)
     walk = np.concatenate([row[1 : n // 2] for row, n in zip(rows, ns)])
-    k = np.concatenate([np.arange(1, n // 2) for n in ns])  # the step and group order of each T_k(g)
-    group = np.repeat(ns, [n // 2 - 1 for n in ns])
+    k = np.concatenate([np.arange(1, n // 2) for n in ns])  # the step of each T_k(g)
     order = np.concatenate([_step_orders(n, n // 2 - 1) for n in ns])
     lane = np.zeros(p, dtype=np.int64)
     lane[walk] = np.arange(walk.size)
     at = lane[a]  # the position in the walk that met each a
-    met = np.bincount(walk, minlength=p)[a]
-    bad = a[(met != 1) | (p - group[at] != eps) | ((k[at] % 2 == 0) != (delta == 1))]
+    # The walk has |R_p| entries, so it meets each a once exactly when walk[at] = a
+    # for every a; the eps = +1 row fills its first (p-1)/2 - 1 positions.
+    plus = at < (p - 1) // 2 - 1
+    bad = a[(walk[at] != a) | (plus != (eps == 1)) | ((k[at] % 2 == 0) != (delta == 1))]
     if bad.size:
         raise ArithmeticError(f"the Chebyshev walk mod {p} disagrees with the Legendre table at {bad[0]}")
     orders = order[at]

@@ -273,8 +273,9 @@ def test_wieferich_small_limits():
 
 
 def test_wieferich_matches_inverse_route(monkeypatch):
-    """The scan tests U = 0 mod p^2 without an inverse; _ladder_tu computes
-    U_{(p-eps)/2 - 1} itself through the inverse of base^2 - 1.  Bases from
+    """The scan tests U = 0 mod p^2 as T_{k+1} = a T_k, without an inverse;
+    the scalar oracle _ladder_tu reads U_{(p-eps)/2 - 1} itself, by an exact
+    division by 2(a^2 - 1) with a = base mod p^2.  Bases from
     2^63 on overflow base % int64 lanes.  A chunk whose primes stop at 46337
     (46337^2 < 2^31) runs its ladder on one limb, one reaching 46349 on two,
     as the calls to _mulmod_p2 show; the bases 634770566 and 1124612139 are
