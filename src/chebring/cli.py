@@ -214,6 +214,7 @@ def _cmd_primroot(args) -> None:
 
 
 def _cmd_dh_demo(args) -> None:
+    structure._check_odd_prime(args.p)  # before the secrets are drawn from [2, p^2)
     rng = random.Random(args.seed)
     secret_a = args.secret_a if args.secret_a is not None else rng.randrange(2, args.p * args.p)
     secret_b = args.secret_b if args.secret_b is not None else rng.randrange(2, args.p * args.p)

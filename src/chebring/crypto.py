@@ -21,7 +21,7 @@ from math import isqrt
 
 from .modarith import _t_walk, cheb_t, jacobi
 from .primes import primes_in
-from .structure import TABLE_CAP, ResourceLimitError, _check_odd_prime, _check_table_cap, _order
+from .structure import TABLE_CAP, ResourceLimitError, _check_odd_prime, _check_table_cap, _full_order
 
 DLOG_CAP = 1 << 22  # largest p for discrete_log_bruteforce: its worst case, p + 1 steps, takes about 1 s (2-CPU VM)
 
@@ -69,9 +69,11 @@ def primitive_root_search(a: int, prime_limit: int) -> PrimitiveRootReport:
     be primitive; the search still runs but warns.  Only a prime whose class
     eps = ((a^2-1)/p) still lacks its least prime and where
     delta = ((2(a+1))/p) = -1 gets an order test: delta = +1 puts the
-    omega-order inside (p - eps)/2.  The scan stops at TABLE_CAP; a limit
-    above it raises ResourceLimitError if the scan to the cap has not found
-    both primes.
+    omega-order inside (p - eps)/2.  The test is the one that picks the
+    walk's generators, structure._full_order: T_{(p-eps)/q}(a) != 1 for
+    every prime q | p - eps, stopping at the first q that fails.  The scan
+    stops at TABLE_CAP; a limit above it raises ResourceLimitError if the
+    scan to the cap has not found both primes.
     """
     if a in (0, 1, -1):
         raise ValueError("base must not be 0 or +-1")
@@ -83,7 +85,7 @@ def primitive_root_search(a: int, prime_limit: int) -> PrimitiveRootReport:
         if am == 1 or am == p - 1:
             continue
         eps = jacobi(am * am - 1, p)
-        if least[eps] is None and jacobi(2 * (am + 1), p) == -1 and _order(am, p, eps) == p - eps:
+        if least[eps] is None and jacobi(2 * (am + 1), p) == -1 and _full_order(am, p - eps, p):
             least[eps] = p
             if None not in least.values():
                 break

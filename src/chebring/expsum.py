@@ -17,9 +17,12 @@ per-residue Python loops they replace.
 The sums share per-prime data, each piece built once and cached for the
 last prime: structure's Legendre table, R_p with its characters and the
 walk's orders, which the partition table views, and here the powers of
-zeta (_zeta_array, complex128, 4.2 MB at TABLE_CAP) and the Weil sum
-(weil_sum, one complex), which partition_sums and shifted_character_sums
-both read.  The arrays are read-only; zeta_powers hands out a fresh list.
+zeta (_zeta_array, complex128, 4.2 MB at TABLE_CAP), the Weil sum
+(weil_sum, one complex), which the cell sums and shifted_character_sums
+both read, and the four checked cell sums with S (_cell_sums, a tuple),
+which partition_sums hands out in a fresh report, so difference_lemma_check
+and conjugacy_check sum no cell again.  The arrays are read-only;
+zeta_powers hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -134,17 +137,18 @@ def shifted_character_sums(p: int) -> tuple[complex, complex, complex]:
     return sums
 
 
-def partition_sums(p: int) -> ExpSumReport:
-    """All four cell sums, computed directly and via the character trick.
+@lru_cache(maxsize=1)
+def _cell_sums(p: int) -> tuple[tuple[complex | int, ...], complex]:
+    """The four cell sums g in CELLS order, computed directly and via the
+    character trick, with R_p, eps and delta from _r_characters, and the
+    Weil sum S they were checked with.
 
     As ((2(a+1))/p) = (2/p)((a+1)/p) and ((2(a+1)(a^2-1))/p) = (2/p)((a-1)/p)
     on R_p, 4g = -2cos(2pi/p) + eps C_both + (2/p)(delta C_plus + eps delta C_minus).
-    The two routes must agree; the report carries S, the bound
-    sqrt(p) + 5/4, and the largest |g|/sqrt(p) observed.
+    The two routes must agree, the four sums must add up to zeta summed over
+    R_p, and S must keep Weil's bound.  Cached per prime, as immutable tuples.
     """
-    if p < 5:
-        raise ValueError(f"partition sums need p >= 5, got {p}")
-    table = partition(p)
+    a, eps, delta = _r_characters(p)
     zp = _zeta_array(p)
     s = weil_sum(p)
     if abs(s) > 2 * math.sqrt(p) + TOLERANCE:
@@ -152,16 +156,33 @@ def partition_sums(p: int) -> ExpSumReport:
     c_minus, c_plus, c_both = _shifted_closed_forms(p, zp, s)
     sign2 = jacobi(2, p)
     whole = -2 * math.cos(2 * math.pi / p)  # zeta summed over R_p
-    g: dict[str, complex] = {}
-    masks = _cell_masks(table.eps, table.delta)
-    for cell, (eps, delta) in CELLS.items():
-        direct = _sum(zp[table.r[masks[cell]]])
-        trick = (whole + eps * c_both + sign2 * (delta * c_plus + eps * delta * c_minus)) / 4
+    masks = _cell_masks(eps, delta)
+    sums = []
+    for cell, (e, d) in CELLS.items():
+        direct = _sum(zp[a[masks[cell]]])
+        trick = (whole + e * c_both + sign2 * (d * c_plus + e * d * c_minus)) / 4
         if not _close(direct, trick):
             raise ArithmeticError(f"direct and trick sums disagree for {cell} at p={p}")
-        g[cell] = direct
-    if not _close(sum(g.values()), whole):
+        sums.append(direct)
+    if not _close(sum(sums), whole):
         raise ArithmeticError(f"four-cell sum is off at p={p}")
+    return tuple(sums), s
+
+
+def partition_sums(p: int) -> ExpSumReport:
+    """All four cell sums, computed directly and via the character trick
+    (_cell_sums, summed and checked once per prime).
+
+    The cells are those of partition(p), which cross-checks them against
+    the Chebyshev walk.  Each call returns a fresh report, with a fresh g
+    dict keyed as CELLS, which carries S, the bound sqrt(p) + 5/4, and the
+    largest |g|/sqrt(p) observed.
+    """
+    if p < 5:
+        raise ValueError(f"partition sums need p >= 5, got {p}")
+    partition(p)
+    sums, s = _cell_sums(p)
+    g = dict(zip(CELLS, sums))
     root = math.sqrt(p)
     return ExpSumReport(p, g, s, root + 1.25, max(abs(v) for v in g.values()) / root)
 

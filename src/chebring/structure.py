@@ -12,8 +12,11 @@ prime, as every caller works on one prime at a time: the Legendre table
 (_legendre_table), R_p with its characters eps and delta (_r_characters)
 and the omega-orders of the Chebyshev walk (_walk_orders, both eps classes
 filled by doubling as the rows of one array), which a PartitionTable views
-without a copy; expsum keeps the powers of zeta and the Weil sum the same
-way.  At TABLE_CAP these caches retain 14.7 MB (tracemalloc at
+without a copy; expsum keeps the powers of zeta, the Weil sum and the four
+cell sums the same way.  Each walk's generator is the least element of its
+eps class with delta = -1 that passes _full_order: by Euler's criterion
+omega_a^((p-eps)/2) = delta, so no element with delta = +1 has full order.
+At TABLE_CAP these caches retain 14.7 MB (tracemalloc at
 p = 262139): the table and the orders (int64) 2.1 MB each, R_p and its
 characters 6.3 MB, the powers (complex128) 4.2 MB.
 The cached arrays are read-only, and every public result is a fresh
@@ -345,16 +348,18 @@ def omega_order(a: int, p: int) -> int:
     a %= p
     if a == 1 or a == p - 1:
         raise ValueError(f"{a} is a fixed point, outside R_{p}")
-    return _order(a, p, jacobi(a * a - 1, p))
-
-
-def _order(a: int, p: int, eps: int) -> int:
-    """omega_order for a in R_p with eps = ((a^2-1)/p), p not re-checked."""
-    order = p - eps
+    order = p - jacobi(a * a - 1, p)
     for q in prime_factors(order):
         while order % q == 0 and cheb_t(a, order // q, p) == 1:
             order //= q
     return order
+
+
+def _full_order(x: int, n: int, p: int) -> bool:
+    """Is n the omega-order of x, for x in R_p with n = p - eps?  The order
+    divides n, so it is n exactly when T_{n/q}(x) != 1 for every prime q | n;
+    the test stops at the first q that fails."""
+    return all(cheb_t(x, n // q, p) != 1 for q in prime_factors(n))
 
 
 @lru_cache(maxsize=1)
@@ -391,14 +396,16 @@ def _walk_orders(p: int) -> np.ndarray:
     """The omega-order of each element of R_p, ascending, from the Chebyshev
     walk: T_k(g), k = 1 ... n/2 - 1, for one g of each eps with omega-order
     n = p - eps, the two walks the rows of one _t_rows call (filled by
-    doubling).  The walk must meet each residue of R_p once, with the table's
-    eps and delta = +1 exactly at even k; T_k(g) has omega-order
-    n / gcd(k, n), read off the prime powers of n (_step_orders).  Read-only,
-    cached per prime.
+    doubling).  Each g is the least x of its class with delta = -1 that
+    passes _full_order: delta = +1 puts the order inside n/2, and a candidate
+    costs one cheb_t per prime of n up to the first that fails.  The walk
+    must meet each residue of R_p once, with the table's eps and delta = +1
+    exactly at even k; T_k(g) has omega-order n / gcd(k, n), read off the
+    prime powers of n (_step_orders).  Read-only, cached per prime.
     """
     a, eps, delta = _r_characters(p)
     ns = [n for n in (p - 1, p + 1) if n > 2]  # eps = +1, -1; at p = 3 the class eps = +1 is empty
-    gens = [next(x for x in map(int, a[eps == p - n]) if _order(x, p, p - n) == n) for n in ns]
+    gens = [next(x for x in map(int, a[(eps == p - n) & (delta == -1)]) if _full_order(x, n, p)) for n in ns]
     rows = _t_rows(gens, p, ns[-1] // 2)
     walk = np.concatenate([row[1 : n // 2] for row, n in zip(rows, ns)])
     k = np.concatenate([np.arange(1, n // 2) for n in ns])  # the step of each T_k(g)

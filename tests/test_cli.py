@@ -290,6 +290,14 @@ def test_dh_demo_seed_deterministic(capsys):
     assert "ok=true" in first
 
 
+def test_dh_demo_refuses_a_modulus_below_three(capsys):
+    """The modulus is checked before the secrets are drawn from [2, p^2),
+    which is empty at p = 0 and p = 1."""
+    for p in ("1", "0"):
+        code, out, err = run(capsys, ["dh-demo", "-p", p, "-g", "2"])
+        assert (code, out, err) == (1, "", f"error: modulus must be an odd prime, got {p}\n")
+
+
 def test_dlog_golden(capsys):
     assert run(capsys, ["dlog", "-p", "23", "-g", "19", "-t", "0"])[1] == "n=6\n"
     assert run(capsys, ["dlog", "-p", "23", "-g", "19", "-t", "2"])[1] == "none\n"

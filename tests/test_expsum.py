@@ -256,10 +256,22 @@ def test_cached_zeta_powers_are_read_only_and_lists_fresh():
     assert zeta_powers(p) == expected
 
 
+def _per_prime_caches() -> list:
+    """Every lru_cache(maxsize=1) defined in structure or expsum: the caches
+    of the last prime."""
+    found = {}
+    for module in (structure, expsum):
+        for obj in vars(module).values():
+            info = getattr(obj, "cache_info", None)
+            if info and obj.__module__ == module.__name__ and info().maxsize == 1:
+                found[obj.__qualname__] = obj
+    return list(found.values())
+
+
 def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
     """The four per-prime calls of a sweep share one Legendre table, one R_p
-    with its characters, one array of zeta powers, one Chebyshev walk and one
-    Weil sum."""
+    with its characters, one array of zeta powers, one Chebyshev walk, one
+    Weil sum and one set of cell sums: every per-prime cache misses once."""
     real = structure._t_rows
     walks = []
     monkeypatch.setattr(structure, "_t_rows", lambda a, m, size: walks.append((len(a), m)) or real(a, m, size))
@@ -269,11 +281,23 @@ def test_sweep_builds_each_table_once(monkeypatch, cold_caches):
     shifted_character_sums(p)
     order_class_decomposition(p)
     assert walks == [(2, p)]  # one walk, a row per eps class
-    for cached in (
-        structure._legendre_table,
-        structure._r_characters,
-        expsum._zeta_array,
-        structure._walk_orders,
-        expsum.weil_sum,
-    ):
+    caches = _per_prime_caches()
+    assert {"_legendre_table", "_r_characters", "_walk_orders", "_zeta_array", "weil_sum", "_cell_sums"} <= {
+        cached.__qualname__ for cached in caches
+    }
+    for cached in caches:
         assert cached.cache_info().misses == 1, cached.__qualname__
+
+
+def test_checks_reuse_the_cell_sums(cold_caches):
+    """difference_lemma_check and conjugacy_check read the cell sums that
+    partition_sums computed; each report's g is its own dict."""
+    p = 1049
+    first = partition_sums(p)
+    assert expsum._cell_sums.cache_info().misses == 1
+    assert difference_lemma_check(p) and conjugacy_check(p)
+    assert expsum._cell_sums.cache_info().misses == 1
+    expected = dict(first.g)
+    first.g["++"] = 0j
+    del first.g["--"]
+    assert partition_sums(p).g == expected
