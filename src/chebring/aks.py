@@ -10,14 +10,13 @@ for the n that pass it.  The polynomials mod m come from chebyshev_t_int
 on one of two routes: the doubling ladder on int64 lanes, O(log n) reduced
 products, each convolved in float64 while its sums stay below 2^53, while
 (n // 2 + 1)(m - 1)^2 < 2^63, and the closed form reduced mod m past that
-bound.  The shifted variant T_n(x+a) = T_n(x) + a needs the ladder, and
-m = n <= DEGREE_CAP keeps it there.  chebyshev_poly_mod keeps its last
-result, so both checks at one n build T_n(x) mod n once.
+bound.  The shifted variant T_n(x+a) = T_n(x) + a builds one polynomial,
+T_n(u + a/2) mod n on the ladder, where m = n <= DEGREE_CAP keeps it, and
+reads the congruence off its even part.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, gcd
 
 from .primes import is_prime
@@ -28,15 +27,10 @@ DEGREE_CAP = structure.DEGREE_CAP  # chebyshev_t_int's cap, which _check_degree 
 BINOMIAL_CAP = 2_000_000  # lucas_step_check's bound on the bits of C(n-p-1, p-1): about 0.6-0.9 s at it (2-CPU VM)
 
 
-@lru_cache(maxsize=1)
 def chebyshev_poly_mod(n: int, modulus: int | None = None) -> IntPolynomial:
     """T_n(x) with coefficients reduced mod the modulus (exact if None), for
     n <= DEGREE_CAP, which chebyshev_t_int checks: the int64 ladder while
-    (n // 2 + 1)(m - 1)^2 < 2^63, the closed form reduced past it.
-
-    The last result is cached, so the power and shifted checks at one n
-    share one build; it retains 0.24 MB at (10000, 10007) and 6.9 MB for
-    the exact T_10000 (tracemalloc)."""
+    (n // 2 + 1)(m - 1)^2 < 2^63, the closed form reduced past it."""
     return chebyshev_t_int(n, modulus=modulus)
 
 
@@ -47,9 +41,7 @@ def prime_iff_power_check(n: int) -> bool:
     then chebyshev_poly_mod(n, n) equal to x^n, coefficient by coefficient.
     Only the base-2 Fermat pseudoprimes reach the comparison as composites,
     22 of them up to 10^4, and each builds all of T_n mod n, 40 ms for the
-    22 (2-CPU VM): the price of sharing the build with the shifted check,
-    as a scan of the d_k would stop at the least prime factor within
-    microseconds.
+    22 (2-CPU VM).
     n = 2 is special-cased to True as a primality predicate (the formal
     congruence itself needs an odd modulus for 2 to be invertible).
     """
@@ -63,22 +55,25 @@ def prime_iff_power_check(n: int) -> bool:
 
 def shifted_congruence_check(n: int, a: int = 1) -> bool:
     """Is T_n(x+a) = T_n(x) + a mod n?  For odd n, true exactly for primes;
-    n = 2 fails, as the congruence needs an odd modulus.
+    every even n fails, as the congruence needs an odd modulus.
 
-    Both sides are built mod n by chebyshev_t_int on its int64 ladder (at
-    n <= DEGREE_CAP, (n // 2 + 1)(n - 1)^2 stays below 2^53, so every product
-    is convolved in float64): the left as
-    T_n in y = x + a, the right from T_n(x) mod n, read from
-    chebyshev_poly_mod, whose cache the power check at n shares;
-    coefficient vectors compared mod n.
+    Odd n: with h = a/2 mod n, x = u - h is an invertible change of variable
+    and T_n is odd, so the congruence reads F(u) + F(-u) = a for
+    F(u) = T_n(u + h): the constant coefficient of F is h and every other
+    even-degree coefficient is 0.  F is built mod n by chebyshev_t_int on its
+    int64 ladder (at n <= DEGREE_CAP, (n // 2 + 1)(n - 1)^2 stays below
+    2^53, so every product is convolved in float64).
+    Even n: T_n = 2T_{n/2}^2 - 1 is 1 mod 2, while T_n(x) + a is 0 mod 2 for
+    the odd a coprime to n, so nothing is built.
     """
     _check_degree(n)
-    a %= n
     if gcd(a, n) > 1:
         raise ValueError(f"shift {a} shares a factor with {n}")
-    want = list(chebyshev_poly_mod(n, n).coefficients)
-    want[0] = (want[0] + a) % n
-    return chebyshev_t_int(n, a, n) == IntPolynomial.of(want)
+    if n % 2 == 0:
+        return False
+    h = a * (n + 1) // 2 % n
+    c = chebyshev_t_int(n, h, n).coefficients
+    return c[0] == h and not any(c[2::2])
 
 
 def coefficient_formula(n: int, k: int) -> int:

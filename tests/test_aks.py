@@ -2,7 +2,7 @@
 
 import random
 import time
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -127,9 +127,10 @@ def test_power_check_rejects_every_fermat_pseudoprime_to_10_4(monkeypatch, cold_
 
 
 @pytest.mark.parametrize("power_first", [True, False], ids=["power-then-shifted", "shifted-then-power"])
-def test_power_and_shifted_checks_share_one_build(monkeypatch, cold_caches, power_first):
-    """At one prime n both checks read the same T_n(x) mod n, built once
-    whichever runs first; the shifted side is built on its own."""
+def test_power_and_shifted_checks_build_one_polynomial_each(monkeypatch, cold_caches, power_first):
+    """At one prime n each check builds one polynomial, whichever runs first:
+    the power check T_n(x), the shifted check T_n(u + h) at h = a/2 mod n and
+    never T_n(x); at an even n the shifted check builds nothing."""
     n = 1409
     shifts = []
     real = aks.chebyshev_t_int
@@ -139,12 +140,13 @@ def test_power_and_shifted_checks_share_one_build(monkeypatch, cold_caches, powe
         return real(n, shift, modulus)
 
     monkeypatch.setattr(aks, "chebyshev_t_int", counting)
-    checks = [lambda: prime_iff_power_check(n), lambda: shifted_congruence_check(n, 1)]
-    first, second = checks if power_first else checks[::-1]
-    assert first()
-    assert shifts == ([0] if power_first else [0, 1])  # the shifted check builds T_n(x) before T_n(x + 1)
-    assert second()
-    assert shifts == [0, 1]
+    checks = {0: lambda: prime_iff_power_check(n), 705: lambda: shifted_congruence_check(n, 1)}
+    order = [0, 705] if power_first else [705, 0]
+    for i, shift in enumerate(order, 1):
+        assert checks[shift]()
+        assert shifts == order[:i]
+    assert not shifted_congruence_check(1410, 1)
+    assert shifts == order
 
 
 def test_shifted_check_matches_primality():
@@ -157,11 +159,26 @@ def test_shifted_check_edges():
     # the literal congruence needs an odd modulus; n=2 is not special-cased here
     assert not shifted_congruence_check(2, 1)
     assert shifted_congruence_check(11, 12) == shifted_congruence_check(11, 1)
-    with pytest.raises(ValueError):
-        shifted_congruence_check(15, 3)  # shift shares a factor
+    for n, a in ((15, 3), (9, -3), (9, 12), (9, 0), (10, -2)):  # the refusal names the shift as given
+        with pytest.raises(ValueError, match=f"^shift {a} shares a factor with {n}$"):
+            shifted_congruence_check(n, a)
     with pytest.raises(ResourceLimitError):
         shifted_congruence_check(DEGREE_CAP + 1, 1)
     assert shifted_congruence_check(9973, 1)  # the largest prime below DEGREE_CAP, timed in the budget test
+
+
+def test_shifted_check_matches_the_literal_congruence(chebyshev_recurrence):
+    """T_n(x+a) against T_n(x) + a, both sides built mod n by the three-term
+    recurrence, for every n < 200, even n included, at shifts on both sides
+    of [0, n)."""
+    for n in range(2, 200):
+        t = chebyshev_recurrence(n).coefficients
+        for a in (1, 2, -1, n + 1, 7 * n + 4):
+            if gcd(a, n) > 1:
+                continue
+            left = IntPolynomial.of(c % n for c in chebyshev_recurrence(n, a % n).coefficients)
+            right = IntPolynomial.of([(t[0] + a) % n] + [c % n for c in t[1:]])
+            assert shifted_congruence_check(n, a) == (left == right), (n, a)
 
 
 def test_coefficient_formula_goldens():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -310,6 +311,32 @@ def test_aks_check_golden(capsys):
     assert run(capsys, ["aks-check", "-n", "11", "--shift", "2"])[1] == "n=11: pass\n"
 
 
+AKS_GRID_N = (2, 3, 4, 7, 9, 15, 341, 561, 1105, 1409, 1411, 2047, 8911, 9973, 10000)
+
+# sha256 over the grid of `chebring aks-check -n <n> [--shift <a>] --format <format>`:
+# each n with no shift, then with each a of (1, -1, 2, n + 1, 10001) coprime to n,
+# one line of the argv and the exit code, then the stdout, per call.
+GOLDEN_AKS_GRID = {
+    "table": "3eba4aaef82d64213ab89be486c7aa963ae305d4aabcddcee96fc87d92c66f5b",
+    "json": "d38839b01e376008403f0ab1429892f2874292019f61ba2275ed2331a52353a9",
+    "csv": "c8cc09fc158d4cb2d7c2985994d4cf1e847efb8b1b65e5efbb61c17b17513de9",
+}
+
+
+@pytest.mark.parametrize("fmt", GOLDEN_AKS_GRID)
+def test_aks_check_golden_grid(capsys, fmt):
+    digest = hashlib.sha256()
+    for n in AKS_GRID_N:
+        shifts = [None] + [a for a in (1, -1, 2, n + 1, 10001) if math.gcd(a, n) == 1]
+        for a in shifts:
+            argv = ["aks-check", "-n", str(n), "--format", fmt]
+            if a is not None:
+                argv += ["--shift", str(a)]
+            code, out, _ = run(capsys, argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_AKS_GRID[fmt]
+
+
 def test_coeff_golden(capsys):
     assert run(capsys, ["coeff", "-n", "5", "-k", "1"])[1] == "-20\n"
     assert run(capsys, ["coeff", "-n", "5", "-k", "2"])[1] == "5\n"
@@ -353,6 +380,10 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, ["aks-check", "-n", "20000"])
     assert code == 1
     assert "cap" in err
+    for shift, n in (("-3", "9"), ("12", "9"), ("3", "15")):
+        code, out, err = run(capsys, ["aks-check", "-n", n, "--shift", shift])
+        assert (code, out) == (1, "")
+        assert err == f"error: shift {shift} shares a factor with {n}\n"
     for argv in (["partition", "-p", "1000000007"], ["expsum", "-p", "1000003"]):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")

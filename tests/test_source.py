@@ -137,7 +137,7 @@ def test_every_cache_is_bounded():
     """Each cache keeps a finite number of entries, but _cyclotomic_coeffs,
     whose keys stop at CYCLOTOMIC_CAP, as it refuses any index past it."""
     sizes = {obj.__qualname__: obj.cache_parameters()["maxsize"] for obj in _package_caches()}
-    assert {"chebyshev_poly_mod", "_is_odd_prime", "_cyclotomic_coeffs"} <= set(sizes)
+    assert {"_walk_orders", "_is_odd_prime", "_cyclotomic_coeffs"} <= set(sizes)
     assert sizes.pop("_cyclotomic_coeffs") is None
     assert {name: size for name, size in sizes.items() if size is None} == {}
     with pytest.raises(ResourceLimitError):
