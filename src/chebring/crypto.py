@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .modarith import _t_walk, cheb_t, jacobi
+from .modarith import _t_walk, cheb_t
 from .primes import primes_in
-from .structure import TABLE_CAP, ResourceLimitError, _check_odd_prime, _check_table_cap, _full_order
+from .structure import TABLE_CAP, ResourceLimitError, _check_odd_prime, _check_table_cap, _full_order, characters
 
 DLOG_CAP = 1 << 22  # largest p for discrete_log_bruteforce: its worst case, p + 1 steps, takes about 1 s (2-CPU VM)
 
@@ -84,9 +84,9 @@ def primitive_root_search(a: int, prime_limit: int) -> PrimitiveRootReport:
         am = a % p
         if am == 1 or am == p - 1:
             continue
-        eps = jacobi(am * am - 1, p)
-        if least[eps] is None and jacobi(2 * (am + 1), p) == -1 and _full_order(am, p - eps, p):
-            least[eps] = p
+        ch = characters(am, p)
+        if least[ch.eps] is None and ch.delta == -1 and _full_order(am, p - ch.eps, p):
+            least[ch.eps] = p
             if None not in least.values():
                 break
     else:  # the scan ended without both primes: refuse a limit past the cap

@@ -348,7 +348,7 @@ def omega_order(a: int, p: int) -> int:
     a %= p
     if a == 1 or a == p - 1:
         raise ValueError(f"{a} is a fixed point, outside R_{p}")
-    order = p - jacobi(a * a - 1, p)
+    order = p - characters(a, p).eps
     for q in prime_factors(order):
         while order % q == 0 and cheb_t(a, order // q, p) == 1:
             order //= q

@@ -425,6 +425,14 @@ def test_expsum_sweep_past_the_table_cap_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: prime limit 1000000 exceeds the table cap of 262144\n")
 
 
+def test_lucas_lehmer_at_the_cap_runs_in_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lucas-lehmer", "-p", "4423"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.startswith("M_4423 = ") and out.endswith(": prime\n")
+
+
 def test_lucas_lehmer_past_the_cap_exits_1(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, ["lucas-lehmer", "-p", "9689"])

@@ -392,6 +392,23 @@ def test_lucas_lehmer_goldens():
         lucas_lehmer(4441)  # the least prime past the cap
 
 
+@pytest.mark.parametrize("p", [*primes_in(3, 128), 521, 607, 1279])
+def test_lucas_lehmer_matches_pair_ladder(p):
+    """s_{p-2} = 2 T_{2^(p-2)}(2) mod M_p: the chain's verdict is the pair
+    ladder's T_{2^(p-2)}(2) = 0."""
+    assert lucas_lehmer(p) == (cheb_t(2, 1 << (p - 2), (1 << p) - 1) == 0)
+
+
+def test_lucas_lehmer_runs_the_cap_on_the_chain_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lucas_lehmer must not call cheb_t")
+
+    monkeypatch.setattr(criteria, "cheb_t", refuse)
+    start = time.perf_counter()
+    assert lucas_lehmer(MERSENNE_CAP)  # M_4423 is prime
+    assert time.perf_counter() - start < 1.0
+
+
 def test_taxicab_goldens():
     assert taxicab_search(2000) == 1729
     assert taxicab_search(1728) is None
