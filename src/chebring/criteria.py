@@ -46,7 +46,7 @@ from .structure import CharPair, ResourceLimitError, _check_table_cap, character
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
 SEARCH_CAP = 1 << 31  # search limits stay below it: every lane modulus fits the int64 kernels
-MERSENNE_CAP = 4423  # largest Lucas-Lehmer exponent: p = 4423 takes 0.20-0.24 s (2-CPU VM); the next Mersenne exponent, 9689, takes 1.9-2.4 s
+MERSENNE_CAP = 11213  # largest Lucas-Lehmer exponent: p = 11213 takes 0.55-0.72 s (2-CPU VM); the next Mersenne exponent, 19937, takes about 3 s
 
 
 @dataclass(frozen=True)
@@ -317,9 +317,13 @@ def lucas_lehmer(p: int) -> bool:
 
     The iteration is the doubling chain s_k = 2 T_{2^k}(2), run once: it is
     the V-doubling that cheb_t(2, 2^k, M_p) steps through, so the tests, not
-    this function, compare the two.  p = 2 is outside the iteration (s index
-    would be negative) and returns True directly since M_2 = 3 is prime.  p
-    above MERSENNE_CAP raises ResourceLimitError before any squaring.
+    this function, compare the two.  Each square is reduced mod M_p = 2^p - 1
+    by folding, as 2^p = 1 mod M_p: the low p bits plus the rest, a sum below
+    2M_p, so one subtraction leaves s in [0, M_p) and the final s == 0 is
+    exact.  The bitwise & and >> also fold the negative s^2 - 2 at s = 0, 1
+    to its residue.  p = 2 is outside the iteration (s index would be
+    negative) and returns True directly since M_2 = 3 is prime.  p above
+    MERSENNE_CAP raises ResourceLimitError before any squaring.
     """
     if p == 2:
         return True
@@ -330,7 +334,10 @@ def lucas_lehmer(p: int) -> bool:
     mp = (1 << p) - 1
     s = 4 % mp
     for _ in range(p - 2):
-        s = (s * s - 2) % mp
+        s = s * s - 2
+        s = (s & mp) + (s >> p)
+        if s >= mp:
+            s -= mp
     return s == 0
 
 

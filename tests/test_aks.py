@@ -17,6 +17,8 @@ from chebring.aks import (
     prime_iff_power_check,
     shifted_congruence_check,
 )
+from chebring.criteria import taxicab_search
+from chebring.modarith import cheb_t
 from chebring.primes import is_prime, prime_factors
 from chebring.structure import IntPolynomial, chebyshev_t_int
 
@@ -113,17 +115,56 @@ def test_power_check_edges():
         prime_iff_power_check(DEGREE_CAP + 1)
 
 
-def test_power_check_rejects_every_fermat_pseudoprime_to_10_4(monkeypatch, cold_caches):
-    """The base-2 Fermat pseudoprimes are the only composites that pass the
-    leading coefficient; each reaches the full comparison and fails it."""
-    pseudoprimes = [n for n in range(3, 10**4, 2) if pow(2, n - 1, n) == 1 and not is_prime(n)]
-    assert len(pseudoprimes) == 22 and pseudoprimes[0] == 341 and pseudoprimes[-1] == 8911
+def _record_builds(monkeypatch) -> list[int]:
+    """The n of every chebyshev_t_int call the aks checks make from here on."""
     builds = []
     real = aks.chebyshev_t_int
     monkeypatch.setattr(aks, "chebyshev_t_int", lambda n, *rest, **kw: builds.append(n) or real(n, *rest, **kw))
+    return builds
+
+
+def test_power_check_rejects_every_fermat_pseudoprime_to_10_4(monkeypatch, cold_caches):
+    """The base-2 Fermat pseudoprimes are the only composites that pass the
+    leading coefficient, and each fails the check; only those that also pass
+    the point x = 2, T_n(2) = 2^n = 2 mod n, build T_n mod n: 1729 and 2701,
+    the simultaneous pseudoprimes of taxicab_search."""
+    pseudoprimes = [n for n in range(3, 10**4, 2) if pow(2, n - 1, n) == 1 and not is_prime(n)]
+    assert len(pseudoprimes) == 22 and pseudoprimes[0] == 341 and pseudoprimes[-1] == 8911
+    builds = _record_builds(monkeypatch)
     for n in pseudoprimes:
         assert not prime_iff_power_check(n), n
-    assert builds == pseudoprimes
+    assert builds == [n for n in pseudoprimes if cheb_t(2, n, n) == 2] == [1729, 2701]
+    assert taxicab_search(10**4) == 1729
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_shifted_check_builds_only_past_the_point_test(monkeypatch, cold_caches, a):
+    """Over every odd n < 3000, T_n(u + a/2) is built exactly for the primes
+    and the composites with T_n(a + 1) = a + 1 mod n, and each such
+    composite still fails the check."""
+    builds = _record_builds(monkeypatch)
+    passing_composites = []
+    for n in range(3, 3000, 2):
+        before = len(builds)
+        prime, point = is_prime(n), cheb_t(a + 1, n, n) == (a + 1) % n
+        assert shifted_congruence_check(n, a) == prime, n
+        assert builds[before:] == ([n] if prime or point else []), n
+        if point and not prime:
+            passing_composites.append(n)
+    assert passing_composites  # some composites reach the build, and fail it
+
+
+def test_no_composite_of_the_poly_band_builds(monkeypatch, cold_caches, workloads):
+    """Every composite n of the benchmark's poly band fails both checks at
+    their point tests, before any polynomial is built."""
+    builds = _record_builds(monkeypatch)
+    lo, hi = workloads.POLY_BAND
+    composites = [n for n in range(lo, hi, 2) if not is_prime(n)]
+    assert len(composites) == 20
+    for n in composites:
+        assert not shifted_congruence_check(n, 1), n
+        assert not prime_iff_power_check(n), n
+    assert builds == []
 
 
 @pytest.mark.parametrize("power_first", [True, False], ids=["power-then-shifted", "shifted-then-power"])

@@ -337,6 +337,23 @@ def test_aks_check_golden_grid(capsys, fmt):
     assert digest.hexdigest() == GOLDEN_AKS_GRID[fmt]
 
 
+# sha256 of `chebring aks-check -n <n> [--shift 1] --format json` over every odd
+# n in [3, 2001) and n in (8911, 9973, 9999), each without and then with
+# --shift 1, hashed as in the grid above.  It pins every verdict to that of the
+# full polynomial comparison, whether a check answers at its point test or not.
+GOLDEN_AKS_ODD_JSON = "1fab2d4681b1eb790ca5041dc62fabad716db211e7f85e2e06250b30ecc7d50a"
+
+
+def test_aks_check_golden_odd_n(capsys):
+    digest = hashlib.sha256()
+    for n in [*range(3, 2001, 2), 8911, 9973, 9999]:
+        for shift in ([], ["--shift", "1"]):
+            argv = ["aks-check", "-n", str(n), "--format", "json", *shift]
+            code, out, _ = run(capsys, argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_AKS_ODD_JSON
+
+
 def test_coeff_golden(capsys):
     assert run(capsys, ["coeff", "-n", "5", "-k", "1"])[1] == "-20\n"
     assert run(capsys, ["coeff", "-n", "5", "-k", "2"])[1] == "5\n"
@@ -427,17 +444,17 @@ def test_expsum_sweep_past_the_table_cap_exits_1(capsys):
 
 def test_lucas_lehmer_at_the_cap_runs_in_budget(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, ["lucas-lehmer", "-p", "4423"])
+    code, out, err = run(capsys, ["lucas-lehmer", "-p", "11213"])
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
-    assert out.startswith("M_4423 = ") and out.endswith(": prime\n")
+    assert out.startswith("M_11213 = ") and out.endswith(": prime\n")
 
 
 def test_lucas_lehmer_past_the_cap_exits_1(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, ["lucas-lehmer", "-p", "9689"])
+    code, out, err = run(capsys, ["lucas-lehmer", "-p", "19937"])
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (1, "", "error: exponent 9689 exceeds the Lucas-Lehmer cap of 4423\n")
+    assert (code, out, err) == (1, "", "error: exponent 19937 exceeds the Lucas-Lehmer cap of 11213\n")
 
 
 def test_dlog_past_the_cap_exits_1(capsys):

@@ -388,8 +388,8 @@ def test_lucas_lehmer_goldens():
     assert lucas_lehmer(127)
     with pytest.raises(ValueError):
         lucas_lehmer(9)
-    with pytest.raises(ResourceLimitError, match=f"^exponent 4441 exceeds the Lucas-Lehmer cap of {MERSENNE_CAP}$"):
-        lucas_lehmer(4441)  # the least prime past the cap
+    with pytest.raises(ResourceLimitError, match=f"^exponent 11239 exceeds the Lucas-Lehmer cap of {MERSENNE_CAP}$"):
+        lucas_lehmer(11239)  # the least prime past the cap
 
 
 @pytest.mark.parametrize("p", [*primes_in(3, 128), 521, 607, 1279])
@@ -399,13 +399,28 @@ def test_lucas_lehmer_matches_pair_ladder(p):
     assert lucas_lehmer(p) == (cheb_t(2, 1 << (p - 2), (1 << p) - 1) == 0)
 
 
+def test_lucas_lehmer_fold_matches_the_remainder_chain():
+    """The chain reduced by folding at 2^p = 1 mod M_p gives the verdict of
+    the plain chain s <- (s^2 - 2) % M_p at every prime p < 2000."""
+    mersenne = []
+    for p in primes_in(3, 2000):
+        mp = (1 << p) - 1
+        s = 4
+        for _ in range(p - 2):
+            s = (s * s - 2) % mp
+        assert lucas_lehmer(p) == (s == 0), p
+        if s == 0:
+            mersenne.append(p)
+    assert mersenne == [3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279]
+
+
 def test_lucas_lehmer_runs_the_cap_on_the_chain_alone(monkeypatch):
     def refuse(*args):
         raise AssertionError("lucas_lehmer must not call cheb_t")
 
     monkeypatch.setattr(criteria, "cheb_t", refuse)
     start = time.perf_counter()
-    assert lucas_lehmer(MERSENNE_CAP)  # M_4423 is prime
+    assert lucas_lehmer(MERSENNE_CAP)  # M_11213 is prime
     assert time.perf_counter() - start < 1.0
 
 
