@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .modarith import (
     _t_ladder_vec,
     cheb_t,
 )
-from .primes import _sieve_flags, is_prime
+from .primes import _sieve_flags, is_prime, primes_in
 from .structure import CharPair, ResourceLimitError, _check_table_cap, characters
 
 PSEUDOPRIME_KINDS = ("weak", "full", "strong")
@@ -187,7 +187,8 @@ def _wieferich_chunk(job: tuple[int, int, int]) -> list[WieferichHit]:
     # p^2, so U_{k-1} = 0 mod p^2 exactly when T_{h+1} = a T_h (k = h) or, by
     # T_{h+2} = 2a T_{h+1} - T_h, when a T_{h+1} = T_h (k = h + 1).
     t0, t1 = _t_ladder_vec(a2, (p - 1) // 2, p * p, p)
-    plus = (t0 % p == 1) | (t0 % p == p - 1)
+    r = t0 % p
+    plus = (r == 1) | (r == p - 1)
     hit = _mulmod_p2(a2, np.where(plus, t0, t1), p) == np.where(plus, t1, t0)
     return [WieferichHit(int(x), base) for x in p[hit]]
 
@@ -207,7 +208,7 @@ def wieferich_search(base: int, limit: int = 10**6, threads: int | None = None) 
     and two limbs once one passes it.  The first chunk stops at 46337, so
     its primes stay on one limb whatever the limit.
     A limit of SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With
-    threads=1, base 3 to 10^7 took 1.5-1.8 s on a 2-CPU VM; to SEARCH_CAP it
+    threads=1, base 3 to 10^7 took 1.0-1.05 s on a 2-CPU VM; to SEARCH_CAP it
     would take about 7 minutes (extrapolated from 10^6-wide windows up to the
     cap, not run).
     """
@@ -257,8 +258,19 @@ def strong_profile(n: int, base: int) -> PseudoprimeVerdict:
 
 def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[PseudoprimeVerdict]:
     base, lo, hi, kind = job
-    n = np.flatnonzero(_sieve_flags(lo, hi) == 0) + lo
-    n = n[n & 1 == 1]  # the odd composites of the chunk
+    comp = ~_sieve_flags(lo, hi)
+    if kind != "weak":
+        # A lane n sharing a prime q with base^2 - 1 has eps = 0 and cannot pass.
+        # Every composite n < hi has a prime factor q <= sqrt(hi - 1), so the
+        # multiples of each such q with base = +-1 mod q are struck in the window
+        # [lo, hi).  A lane whose shared primes all pass sqrt(hi - 1) still runs
+        # the ladder and is dropped by the gcd test of the candidates below.
+        q = np.array(primes_in(3, isqrt(hi - 1) + 1), dtype=np.int64)
+        r = _residues(base, q)
+        for x in q[(r == 1) | (r == q - 1)].tolist():
+            comp[-lo % x :: x] = False
+    n = np.flatnonzero(comp) + lo
+    n = n[n & 1 == 1]  # the odd composites of the chunk, less those struck
     if not n.size:
         return []
     a = _residues(base, n)
@@ -268,16 +280,13 @@ def _pseudoprime_chunk(job: tuple[int, int, int, str]) -> list[PseudoprimeVerdic
     # A pass at eps = +1 has T_h = delta = +-1 and T_{h+1} = a T_h for h = (n-1)/2,
     # one at eps = -1 has T_{h+1} = delta and a T_{h+1} = T_h: one ladder to h
     # over every lane keeps the few candidates that can pass at either eps.  The
-    # gcd filter makes eps nonzero for the single-n test of each candidate.
-    keep = np.gcd(a * a - 1, n) == 1
-    n, a = n[keep], a[keep]
-    if not n.size:
-        return []
+    # gcd test on those few makes eps nonzero for the single-n test of each.
     t0, t1 = _t_ladder_vec(a, n // 2, n)
     cand = ((t0 == 1) | (t0 == n - 1)) & (t1 == a * t0 % n)
     cand |= ((t1 == 1) | (t1 == n - 1)) & (a * t1 % n == t0)
     test = full_pseudoprime_test if kind == "full" else strong_profile
-    return [v for v in (test(int(x), base) for x in n[cand]) if v.passed]
+    d = base * base - 1
+    return [v for v in (test(x, base) for x in n[cand].tolist() if gcd(d, x) == 1) if v.passed]
 
 
 def pseudoprime_search(
@@ -287,16 +296,20 @@ def pseudoprime_search(
 
     Each chunk of the range runs as int64 lanes, one candidate n per lane:
     composites are the zeros of the sieve; the weak kind tests T_n = base on
-    one ladder.  The full and strong kinds drop n sharing a factor with
-    base^2 - 1, then run one ladder to h = (n-1)/2 and keep only the n where
+    one ladder.  The full and strong kinds skip every n sharing a prime q with
+    base^2 - 1, where eps = 0: before the ladder, the chunk's mask strikes the
+    multiples of each prime q <= sqrt(hi - 1) with base = +-1 mod q.  They
+    then run one ladder to h = (n-1)/2 and keep only the n where
     (T_h = +-1 and T_{h+1} = base T_h) or (T_{h+1} = +-1 and
     base T_{h+1} = T_h) mod n, which every pass at eps = +1 or at eps = -1
-    satisfies.  Those few go through the single-n tests full_pseudoprime_test
-    or strong_profile, and the verdicts that pass are kept; the weak kind
+    satisfies.  Of those few candidates, the ones prime to base^2 - 1 (a gcd
+    per candidate, which drops an n whose shared primes all pass the
+    strike's reach) go through the single-n tests full_pseudoprime_test or
+    strong_profile, and the verdicts that pass are kept; the weak kind
     matches weak_pseudoprime_test.  A base of 0 or +-1 raises ValueError; a
     limit of SEARCH_CAP = 2^31 or more raises ResourceLimitError.  With
-    threads=1, base 2 to 10^7 took 1.5-1.7 s for the strong kind, 1.4-1.5 s
-    for the full kind and 1.8-1.9 s for the weak kind on a 2-CPU VM; the
+    threads=1, base 2 to 10^7 took 1.1-1.6 s for the strong kind, 1.1-1.3 s
+    for the full kind and 1.6-2.0 s for the weak kind on a 2-CPU VM; the
     strong kind to SEARCH_CAP would take about 15 minutes (extrapolated from
     10^6-wide windows up to the cap, not run).
     """

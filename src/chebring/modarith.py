@@ -163,12 +163,23 @@ def _t_ladder_vec(
     The moduli pick the product: while every m is below 2^31, a step is one
     int64 product reduced once, (2xy - c) mod m, as 2(m - 1)^2 < 2^63; past
     it m must be p^2 with p < 2^31 given, and each product is taken on two
-    limbs.
+    limbs.  A step makes one array, the product, then doubles it by a shift,
+    subtracts c and reduces it in place.  The new pair is the cross term and
+    the square in some order, so once the bit picks the new T_j, the new
+    T_{j+1} is their sum less it, again in place.
     """
     if int(np.max(m)) < 1 << 31:
-        step = lambda x, y, c: (2 * x * y - c) % m
+        mul = np.multiply
     else:
-        step = lambda x, y, c: (2 * _mulmod_p2(x, y, p) - c) % m
+        mul = lambda x, y: _mulmod_p2(x, y, p)
+
+    def step(x, y, c):
+        z = mul(x, y)
+        z <<= 1
+        z -= c
+        z %= m
+        return z
+
     t0, t1 = np.ones_like(a), a
     nbits = int(np.max(k)).bit_length()
     for i in range(nbits - 1, -1, -1):
@@ -176,7 +187,9 @@ def _t_ladder_vec(
         cross = step(t0, t1, a)
         sq = np.where(bit, t1, t0)
         sq = step(sq, sq, 1)
-        t0, t1 = np.where(bit, cross, sq), np.where(bit, sq, cross)
+        t0, t1 = np.where(bit, cross, sq), cross
+        t1 += sq
+        t1 -= t0
     return t0, t1
 
 

@@ -98,14 +98,14 @@ def primes_upto(limit: int) -> list[int]:
 
 
 def _sieve_flags(lo: int, hi: int) -> np.ndarray:
-    """Segmented sieve over [lo, hi), 2 <= lo < hi: uint8 flags, 1 exactly at
-    the primes.  The one sieve body, behind primes_in and the composite mask
-    of the pseudoprime scan."""
+    """Segmented sieve over [lo, hi), 2 <= lo < hi: a boolean mask, True
+    exactly at the primes.  The one sieve body, behind primes_in and the
+    prime and composite lanes of both scans."""
     flags = bytearray([1]) * (hi - lo)
     for p in primes_in(2, isqrt(hi - 1) + 1):
         start = max(p * p, (lo + p - 1) // p * p)
         flags[start - lo : hi - lo : p] = bytearray(len(range(start, hi, p)))
-    return np.frombuffer(flags, np.uint8)
+    return np.frombuffer(flags, bool)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

@@ -2,8 +2,10 @@
 
 import random
 import time
+import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 
 from chebring import criteria, modarith
@@ -364,6 +366,35 @@ def test_pseudoprime_scan_takes_jacobi_only_for_survivors(monkeypatch):
     assert (len(survivors), len(composites)) == (17, 7738)
     assert {v.n for v in found} <= set(survivors)
     assert seen == {"characters": survivors, "_euler_criterion": survivors}
+
+
+def test_pseudoprime_ladder_gets_the_composites_prime_to_base_squared_less_one(monkeypatch):
+    """The strike before the ladder: at base 2, where 2^2 - 1 = 3, the strong
+    scan to 20000 (one chunk) hands the ladder exactly the odd composites in
+    [9, 20001) prime to 3."""
+    moduli = []
+    original = criteria._t_ladder_vec
+
+    def record(a, k, m, *rest):
+        moduli.extend(m.tolist())
+        return original(a, k, m, *rest)
+
+    monkeypatch.setattr(criteria, "_t_ladder_vec", record)
+    pseudoprime_search(2, 20_000, "strong", threads=1)
+    assert moduli == [n for n in range(9, 20_001, 2) if n % 3 and not is_prime(n)]
+
+
+def test_pseudoprime_chunk_strikes_within_its_window():
+    """The strike mask spans the chunk's window [lo, hi), not [0, hi): one
+    20000-wide chunk at 10^7 peaks under 1 MB, where a mask sized by hi alone
+    would take 10 MB."""
+    tracemalloc.start()
+    try:
+        criteria._pseudoprime_chunk((2, 10**7 - 20_000, 10**7 + 1, "strong"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_wieferich_skips_degenerate_primes():

@@ -285,6 +285,27 @@ def test_t_ladder_two_limbs_below_2_62():
         assert t1[i] == cheb_t(ai, ki + 1, mi), (ai, ki, mi)
 
 
+def test_t_ladder_mixed_exponents_and_shared_ints():
+    """One call mixing exponents 0, 1, 2 and 30-bit ones, on one-limb moduli
+    below 2^31 and on two-limb moduli m = p^2, and one call whose exponent and
+    modulus are ints shared by every lane: every lane's T_k and T_{k+1} equal
+    cheb_t, whatever the bit length of its exponent."""
+    rng = random.Random(34)
+    ks = [0, 1, 2, 0, 1, 2] + [rng.randrange(1 << 29, 1 << 30) for _ in range(6)]
+    p = np.array([3, 5, 46337, 46349, *primes_in((1 << 31) - 300, 1 << 31)[-8:]], dtype=np.int64)
+    k = np.array(ks, dtype=np.int64)
+    for m, limbs in ((p, None), (p * p, p)):
+        a = np.array([rng.randrange(int(v)) for v in m], dtype=np.int64)
+        t0, t1 = _t_ladder_vec(a, k, m, limbs)
+        for ai, ki, mi, x0, x1 in zip(a.tolist(), ks, m.tolist(), t0.tolist(), t1.tolist()):
+            assert (x0, x1) == (cheb_t(ai, ki, mi), cheb_t(ai, ki + 1, mi)), (ai, ki, mi)
+    m, ki = (1 << 31) - 1, rng.randrange(1 << 29, 1 << 30)
+    a = np.array([0, 1, 2, m - 1, *(rng.randrange(m) for _ in range(8))], dtype=np.int64)
+    t0, t1 = _t_ladder_vec(a, ki, m)
+    assert t0.tolist() == [cheb_t(ai, ki, m) for ai in a.tolist()]
+    assert t1.tolist() == [cheb_t(ai, ki + 1, m) for ai in a.tolist()]
+
+
 def test_t_rows_match_the_walk():
     """Each row of _t_rows is T_0 = 1 and then the three-term walk of _t_walk:
     sizes on both sides of the doubling steps, both walk lengths at the largest

@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 from sympy.ntheory.primetest import is_extra_strong_lucas_prp, mr
@@ -12,6 +13,7 @@ from chebring.primes import (
     SIEVE_CAP,
     SIEVE_ROOT_CAP,
     ResourceLimitError,
+    _sieve_flags,
     divisors,
     euler_phi,
     factorize,
@@ -30,6 +32,9 @@ def test_primes_upto_matches_sympy():
 
 def test_primes_in_matches_full_sieve():
     assert primes_in(0, 10_001) == list(sympy.primerange(2, 10_001))
+    flags = _sieve_flags(5000, 6000)
+    assert flags.dtype == bool
+    assert (np.flatnonzero(flags) + 5000).tolist() == list(sympy.primerange(5000, 6000))
     assert primes_in(5000, 6000) == list(sympy.primerange(5000, 6000))
     assert primes_in(97, 98) == [97]
     assert primes_in(50, 50) == []
